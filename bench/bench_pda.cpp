@@ -1,6 +1,7 @@
 // Ablation (DESIGN.md): raw solver characteristics — post* vs pre*
-// saturation on network-shaped PDAs of growing size, and the cost of the
-// weighted (Dijkstra-ordered) worklist relative to the unweighted one.
+// saturation on network-shaped PDAs of growing size, the cost of the
+// weighted (Dijkstra-ordered) worklist relative to the unweighted one, and
+// the bucket queue against the binary heap on the same scalar-weight PDA.
 
 #include <benchmark/benchmark.h>
 
@@ -43,6 +44,23 @@ void post_star_saturation(benchmark::State& state) {
         benchmark::DoNotOptimize(stats.transitions);
         state.counters["transitions"] = static_cast<double>(stats.transitions);
         state.counters["rules"] = static_cast<double>(translation.pda().rule_count());
+    }
+}
+
+/// post_star_saturation with the binary-heap worklist forced (the discipline
+/// every vector-weight run uses): read beside post_star_saturation, which
+/// saturates the same PDA through Dial's bucket queue.
+void post_star_heap_worklist(benchmark::State& state) {
+    const auto instance = make_instance(static_cast<std::size_t>(state.range(0)));
+    const auto query =
+        query::parse_query(instance.query_text, instance.net.network);
+    pda::SolverOptions options;
+    options.worklist = pda::Worklist::Heap;
+    for (auto _ : state) {
+        verify::Translation translation(instance.net.network, query, {});
+        translation.reduce(2);
+        auto aut = translation.make_initial_automaton();
+        benchmark::DoNotOptimize(pda::post_star(aut, options).transitions);
     }
 }
 
@@ -160,6 +178,7 @@ void nordunet_scaling_moped(benchmark::State& state) {
 } // namespace
 
 BENCHMARK(post_star_saturation)->Arg(8)->Arg(16)->Arg(32)->Unit(benchmark::kMillisecond);
+BENCHMARK(post_star_heap_worklist)->Arg(8)->Arg(16)->Arg(32)->Unit(benchmark::kMillisecond);
 BENCHMARK(post_star_saturation_lazy)
     ->Arg(8)
     ->Arg(16)

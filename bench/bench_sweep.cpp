@@ -7,7 +7,7 @@
 //                      solver workspaces across the whole grid
 //   sweep_one_by_one   per scenario: apply the link-failure delta, then
 //                      verify_batch every instantiated query cold (same
-//                      jobs / solver-threads as the sweep)
+//                      jobs as the sweep)
 //
 // The sweep case self-validates: before timing, it runs the one-by-one
 // grid once and asserts every cell's canonical result JSON (stats and

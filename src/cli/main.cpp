@@ -64,10 +64,6 @@ void usage(std::ostream& out) {
         "                       a line; quit with EOF or 'quit')\n"
         "  --jobs N             verify queries on N worker threads (default 1)\n"
         "  --max-iterations N   per-saturation iteration cap (0 = unlimited)\n"
-        "  --solver-threads T   saturation worker threads: a count, or 'auto'\n"
-        "                       to size from the hardware (default: the\n"
-        "                       AALWINES_SOLVER_THREADS env var, else 1);\n"
-        "                       answers and weights are thread-independent\n"
         "  --no-trace           do not reconstruct witness traces\n"
         "  --witnesses N        enumerate up to N distinct witness traces\n"
         "  --validate           check network well-formedness and replay every\n"
@@ -242,12 +238,6 @@ void print_result_text(const Network& network, const verify::VerifyResult& resul
                   << result.stats.over.saturation_iterations
                   << "  relaxations: " << result.stats.over.worklist_relaxations
                   << "  peak-worklist: " << result.stats.over.peak_worklist << "\n";
-        if (result.stats.over.solver_threads > 1)
-            std::cout << "  solver-threads: " << result.stats.over.solver_threads
-                      << "  parallel-rounds: " << result.stats.over.parallel_rounds
-                      << "  handoffs: " << result.stats.over.parallel_handoffs
-                      << "  shard-imbalance: " << result.stats.over.shard_imbalance
-                      << "\n";
         if (result.stats.over.lazy_translation)
             std::cout << "  materialized-rules: "
                       << result.stats.over.pda_rules_materialized << " of "

@@ -7,7 +7,6 @@
 
 #include "io/formats.hpp"
 #include "io/isis.hpp"
-#include "pda/solver.hpp"
 #include "synthesis/networks.hpp"
 #include "synthesis/queries.hpp"
 
@@ -162,15 +161,6 @@ verify::VerifyOptions make_verify_options(const VerifySpec& spec, WeightExpr& we
     else if (spec.translation != "auto")
         throw usage_error("unknown translation mode '" + spec.translation +
                           "' (auto, lazy or eager)");
-    if (!spec.solver_threads.empty()) {
-        if (spec.solver_threads == "auto") {
-            options.solver_threads = pda::k_solver_threads_auto;
-        } else {
-            options.solver_threads = parse_size("--solver-threads", spec.solver_threads);
-            if (options.solver_threads == 0)
-                throw usage_error("--solver-threads expects a positive count or 'auto'");
-        }
-    }
     return options;
 }
 
@@ -222,7 +212,6 @@ Cli parse_cli(int argc, char** argv) {
         else if (arg == "--witnesses") cli.spec.witnesses = parse_size(arg, value(i));
         else if (arg == "--max-iterations")
             cli.spec.max_iterations = parse_size(arg, value(i));
-        else if (arg == "--solver-threads") cli.spec.solver_threads = value(i);
         else if (arg == "--no-trace") cli.spec.trace = false;
         else if (arg == "--validate") cli.validate = true;
         else if (arg == "--validate=deep") cli.validate = cli.validate_deep = true;
@@ -280,7 +269,6 @@ SweepCli parse_sweep_cli(int argc, char** argv, int first) {
         else if (arg == "--reduction") sweep.spec.reduction = parse_int(arg, value(i));
         else if (arg == "--max-iterations")
             sweep.spec.max_iterations = parse_size(arg, value(i));
-        else if (arg == "--solver-threads") sweep.spec.solver_threads = value(i);
         else if (arg == "--no-trace") sweep.spec.trace = false;
         else if (arg == "--witnesses") sweep.spec.witnesses = parse_size(arg, value(i));
         else if (arg == "--jobs") sweep.jobs = parse_size(arg, value(i));

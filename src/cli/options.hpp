@@ -79,10 +79,6 @@ struct VerifySpec {
     /// PDA rule materialization: auto | lazy | eager (auto picks lazy for
     /// dual/weighted, eager for moped/exact).
     std::string translation = "auto";
-    /// Saturation worker threads: "" = inherit the AALWINES_SOLVER_THREADS
-    /// environment override (default sequential), "auto" = size from the
-    /// hardware and problem, otherwise a positive count.
-    std::string solver_threads;
 };
 
 /// Resolve a VerifySpec.  `weights` receives the parsed weight expression

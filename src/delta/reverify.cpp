@@ -31,8 +31,6 @@ std::string session_key(const std::string& query, const cli::VerifySpec& spec) {
     key += std::to_string(spec.max_iterations);
     key += k_sep;
     key += spec.translation;
-    key += k_sep;
-    key += spec.solver_threads;
     return key;
 }
 

@@ -48,12 +48,6 @@ json::Value phase_to_json(const verify::PhaseStats& phase) {
     object.emplace("saturateSeconds", phase.saturate_seconds);
     object.emplace("acceptSeconds", phase.accept_seconds);
     object.emplace("witnessSeconds", phase.witness_seconds);
-    if (phase.solver_threads > 1) {
-        object.emplace("solverThreads", phase.solver_threads);
-        object.emplace("parallelRounds", phase.parallel_rounds);
-        object.emplace("parallelHandoffs", phase.parallel_handoffs);
-        object.emplace("shardImbalance", phase.shard_imbalance);
-    }
     if (phase.truncated) object.emplace("truncated", true);
     return json::Value(std::move(object));
 }

@@ -22,8 +22,6 @@
 
 namespace aalwines::pda {
 
-class ParallelSaturation; // sharded saturation engine (solver.cpp)
-
 using TransId = std::uint32_t;
 inline constexpr TransId k_no_trans = UINT32_MAX;
 
@@ -165,8 +163,8 @@ public:
     // --- Canonical witness tie-breaking ------------------------------------
     //
     // Raw ids (StateId of mid-states, TransId, RuleId under lazy
-    // materialization) depend on discovery order and therefore on the thread
-    // count.  The keys below are pure functions of *content* instead:
+    // materialization) depend on discovery order.  The keys below are pure
+    // functions of *content* instead:
     //   state   → its pre-saturation id (those are deterministic), or for a
     //             saturation-created mid-state its (owner, symbol) identity;
     //   rule    → (from, per-state emission ordinal), see Pda::rule_canonical_key;
@@ -174,12 +172,12 @@ public:
     // When `canonical_tiebreaks()` is on, equal-weight provenance updates keep
     // the candidate with the smallest canonical key, making the reconstructed
     // witness a pure function of the saturated automaton's content — i.e.
-    // identical across worklist disciplines and solver thread counts.  The
-    // flag is enabled by the translation layer for weighted runs (where the
-    // minimal weight level is always fully saturated, see solver.cpp); unit-
-    // weight runs keep first-arrival provenance — their early-terminated
-    // saturation frontier is itself thread-dependent, so canonical selection
-    // there would cost hot-path compares without buying stability.
+    // independent of discovery order.  The flag is enabled by the
+    // translation layer for weighted runs (where the minimal weight level is
+    // always fully saturated, see solver.cpp); unit-weight runs keep
+    // first-arrival provenance, which the sequential worklist already makes
+    // deterministic, so canonical selection there would cost hot-path
+    // compares without buying stability.
 
     [[nodiscard]] bool canonical_tiebreaks() const noexcept { return _canonical_tiebreaks; }
     void set_canonical_tiebreaks(bool on) noexcept { _canonical_tiebreaks = on; }
@@ -206,13 +204,6 @@ public:
     }
 
 private:
-    /// The sharded parallel solver partitions transition insertion across
-    /// owner threads and must mirror add_transition/add_epsilon against
-    /// per-shard key maps, then merge them back into _concrete_heads and the
-    /// scalar-weight summary.  It upholds every invariant documented here
-    /// (chains append at the tail in id order, note_weight on every commit).
-    friend class ParallelSaturation;
-
     [[nodiscard]] static std::uint64_t pack(StateId hi, std::uint32_t lo) noexcept {
         return (static_cast<std::uint64_t>(hi) << 32) | lo;
     }

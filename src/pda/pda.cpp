@@ -160,16 +160,6 @@ void Pda::materialize_state(StateId state) const {
     telemetry::count(telemetry::Counter::pda_rules_materialized, _rules_added - before);
 }
 
-void Pda::prefetch_state(StateId state) const {
-    ensure_materialized(state);
-    // Warming a class set fills the mutable _class_sets cache — the write
-    // the parallel expansion phase must never race on.
-    for (const auto& [cls, list] : _match_by_state[state].classes) {
-        (void)list;
-        (void)class_set(cls);
-    }
-}
-
 void Pda::materialize_all() const {
     if (_provider == nullptr) return;
     // Chain interiors are filled (and marked) together with the control

@@ -244,14 +244,6 @@ public:
     /// (chain interiors).
     void mark_materialized(StateId state);
 
-    /// Warm every lazily-built structure a read of `state`'s rules touches:
-    /// materializes the state (lazy mode) and builds the class-set cache
-    /// entries its class rules consult.  After this, `for_each_applicable`
-    /// on the state is a pure read — the parallel solver prefetches its
-    /// round's frontier states serially so the expansion phase can run the
-    /// match index from many threads without synchronization.
-    void prefetch_state(StateId state) const;
-
     /// Demand every remaining state's rules (no-op without a provider).
     /// Logically const: materialization is memoized evaluation of the fixed
     /// rule set the provider denotes.  pre* and whole-PDA passes

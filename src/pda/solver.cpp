@@ -1,12 +1,7 @@
 #include "pda/solver.hpp"
 
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
 #include <deque>
 #include <queue>
-#include <string_view>
-#include <thread>
 
 #include "telemetry/telemetry.hpp"
 #include "util/check.hpp"
@@ -112,16 +107,6 @@ public:
     [[nodiscard]] bool empty() const { return _size == 0; }
     [[nodiscard]] std::size_t size() const { return _size; }
 
-    /// Smallest queued key without popping (advances the bucket cursor);
-    /// nullopt when empty.  The parallel engine uses this to agree on the
-    /// global frontier level before each round's drain.
-    [[nodiscard]] std::optional<std::uint64_t> min_key() {
-        if (_size == 0) return std::nullopt;
-        while (_cursor < _buckets.size() && _buckets[_cursor].head == nullptr) ++_cursor;
-        if (_cursor < _buckets.size()) return _cursor;
-        return *_overflow.top().weight.as_scalar();
-    }
-
     Item pop() {
         while (_cursor < _buckets.size() && _buckets[_cursor].head == nullptr) ++_cursor;
         --_size;
@@ -169,15 +154,8 @@ private:
 }
 
 [[nodiscard]] bool bucket_eligible(const PAutomaton& aut, const SolverOptions& options) {
-    switch (options.worklist) {
-        case Worklist::Heap: return false;
-        case Worklist::Auto:
-        case Worklist::Bucket:
-            // Bucket forced on non-scalar weights still falls back: there is
-            // no scalar key to index buckets with.
-            return aut.all_scalar_weights() && aut.pda().all_weights_scalar();
-    }
-    return false;
+    return options.worklist == Worklist::Auto && aut.all_scalar_weights() &&
+           aut.pda().all_weights_scalar();
 }
 
 EdgeLabel label_of_pre(const Pda& pda, const PreSpec& pre) {
@@ -413,801 +391,12 @@ AALWINES_HOT_PATH void pre_star_loop(PAutomaton& aut, const SolverOptions& optio
 
 } // namespace
 
-unsigned solver_shard_of(StateId state, unsigned shard_count) noexcept {
-    // splitmix64-style finalizer over the interned id; +1 keeps state 0 off
-    // the multiplier's zero fixed point.  Pinned by a unit test: rebalancing
-    // changes must be visible in review, not silently reshuffle runs.
-    std::uint64_t hash = (static_cast<std::uint64_t>(state) + 1) * 0x9E3779B97F4A7C15ull;
-    hash ^= hash >> 32;
-    return static_cast<unsigned>(hash % shard_count);
-}
-
-/// Level-synchronous sharded saturation (SolverOptions::threads > 1).
-///
-/// Sequential saturation is Dijkstra: pop the single globally minimal item,
-/// expand it, repeat.  The parallel engine drains an entire *weight level*
-/// per round instead — every queued item whose scalar key equals the global
-/// minimum — with one worker per shard, where a shard owns the states
-/// solver_shard_of hashes to it (a transition/ε item belongs to its
-/// from-state's owner).  A round is a fixed sequence of barrier-separated
-/// phases:
-///
-///   1. round_begin (serial): global minimum key over the shard worklists;
-///      truncation and demand-driven early-termination checks.
-///   2. drain (parallel): each shard pops its own items at that key and
-///      finalizes them (stale entries skipped, exactly as sequentially).
-///   3. after_drain (serial): demand-materialize the frontier states' rules
-///      and warm the class-set cache — the only mutating reads the PDA rule
-///      lookup path performs — so the next phase sees a frozen PDA.
-///   4. expand (parallel, strictly read-only): apply rules/combinations to
-///      the drained items, staging every would-be insertion into
-///      per-destination hand-off queues.
-///   5. route (serial): the few global-index mutations, in shard order —
-///      resolve post* push mid-states (these may add automaton states),
-///      commit ε-transitions, register pre* push partials.
-///   6. integrate (parallel): each shard consumes the tuples staged *for
-///      it*, deduplicating against its own (from, symbol) key chains: relax
-///      existing transitions in place, or record a Fresh entry.  A chain is
-///      owned by exactly one shard, so no locks anywhere.
-///   7. assign (serial): prefix-sum the Fresh counts into dense global ids
-///      and resize the transition table — ids stay dense and creation-
-///      ordered, so provenance/witness/validate code never notices the
-///      threading.
-///   8. commit (parallel): write Fresh transitions into their slots, link
-///      key chains, append owner-disjoint adjacency, enqueue.
-///
-/// Equal-weight tie-breaks (provenance choice, mid-state numbering,
-/// adjacency order) may differ from the sequential engine, but accepting
-/// sets and minimal weights are identical: staged weights never undercut
-/// the round key (the Dijkstra argument per level), and — as a safety net
-/// where the sequential engine asserts instead — a strict improvement of a
-/// finalized transition un-finalizes and re-enqueues it (label-correcting
-/// fallback), so convergence cannot depend on the batch finalization order
-/// within a round.  For a fixed thread count the schedule is deterministic
-/// (shards are consumed in index order everywhere), so repeated runs
-/// produce byte-identical automata.
-class ParallelSaturation {
-public:
-    ParallelSaturation(PAutomaton& aut, const SolverOptions& options, SolverStats& stats,
-                       util::TaskPool& pool, std::span<util::Arena> arenas)
-        : _aut(aut), _pda(aut.pda()), _options(options), _stats(stats), _pool(pool),
-          _n(pool.threads()), _barrier(pool.threads()) {
-        _shards.reserve(_n);
-        for (unsigned t = 0; t < _n; ++t) {
-            arenas[t].reset();
-            _shards.push_back(std::make_unique<Shard>(arenas[t], _n));
-        }
-        _bases.resize(_n, 0);
-    }
-
-    void run_post() {
-        _post = true;
-        seed();
-        run_rounds();
-        finish();
-    }
-
-    void run_pre() {
-        _post = false;
-        // pre* consumes rules by target state: build (and on a lazy PDA,
-        // fully materialize) the per-target index up front, and warm every
-        // class set the read-only expansion phase can touch — label_of_pre
-        // and pre_set consult the lazily-built class-set cache.
-        _pda.build_target_index();
-        for (const auto& rule : _pda.rules())
-            if (rule.pre.kind == PreSpec::Kind::Class) (void)_pda.class_set(rule.pre.cls);
-        _partials.resize(_aut.state_count()); // pre* never adds states
-        for (RuleId id = 0; id < _pda.rule_slot_count(); ++id) {
-            if (_pda.rule_dead(id)) continue;
-            const auto& rule = _pda.rule(id);
-            if (rule.op != Rule::OpKind::Pop) continue;
-            (void)_aut.add_transition(rule.from, label_of_pre(_pda, rule.pre), rule.to,
-                                      rule.weight,
-                                      {Provenance::Kind::PrePop, id, k_no_trans, k_no_trans});
-        }
-        seed();
-        run_rounds();
-        finish();
-    }
-
-    [[nodiscard]] std::size_t eps_relaxations() const noexcept { return _eps_relax; }
-
-private:
-    struct StagedTrans {
-        StateId from;
-        StateId to;
-        EdgeLabel label;
-        Weight weight;
-        Provenance prov;
-    };
-    struct StagedEps {
-        StateId from;
-        StateId to;
-        Weight weight;
-        Provenance prov;
-    };
-    struct StagedPush {
-        StateId rule_to; ///< the push rule's target state (t1's from)
-        StateId to;      ///< the matched transition's target (t2's to)
-        Symbol label1;
-        EdgeLabel below;
-        Weight weight; ///< t2's weight
-        RuleId rule;
-        TransId src;
-    };
-    /// A transition created this round, waiting for its dense global id.
-    struct Fresh {
-        StateId from;
-        StateId to;
-        EdgeLabel label;
-        Weight weight;
-        Provenance prov;
-        std::uint64_t key;       ///< pack(from, symbol); concrete labels only
-        TransId chain_tail;      ///< last pre-existing id of the key chain
-        std::uint32_t fresh_prev; ///< previous Fresh of this key, or UINT32_MAX
-        TransId global_head;     ///< pre-existing chain head, or k_no_trans
-    };
-    /// Marks a shard head-map value as a Fresh index instead of a global
-    /// transition id.  Real ids stay far below this bit for any automaton
-    /// that fits in memory, and FlatMap64::k_npos is checked first, so the
-    /// value space is unambiguous.
-    static constexpr std::uint32_t k_fresh_flag = 0x8000'0000u;
-
-    struct Shard {
-        Shard(util::Arena& arena, unsigned n) : wl(arena), out(n) {}
-        BucketWorklist wl;
-        util::FlatMap64 heads; ///< (from,symbol) -> head id or k_fresh_flag|index
-        std::vector<BucketWorklist::Item> drained;
-        std::vector<std::vector<StagedTrans>> out; ///< per destination shard
-        std::vector<StagedEps> eps_out;            ///< post*: committed in route
-        std::vector<StagedPush> push_out;          ///< post*: mid resolved in route
-        std::vector<std::pair<StateId, std::pair<RuleId, TransId>>> partial_out; ///< pre*
-        std::vector<Fresh> fresh;
-        std::size_t pops = 0;
-        std::size_t handoffs = 0;
-        std::size_t relaxations = 0;
-        std::uint64_t max_scalar = 0;
-    };
-
-    void seed() {
-        _seeded_transitions = static_cast<TransId>(_aut.transition_count());
-        for (TransId id = 0; id < _seeded_transitions; ++id) {
-            const Transition& trans = _aut._transitions[id];
-            Shard& sh = *_shards[solver_shard_of(trans.from, _n)];
-            // First insert in id order is the true chain head, because
-            // add_transition appends at the tail.
-            if (trans.label.is_concrete())
-                sh.heads.try_emplace(PAutomaton::pack(trans.from, trans.label.concrete), id);
-            ++sh.relaxations;
-            sh.wl.push(trans.weight, false, id);
-        }
-    }
-
-    void run_rounds() {
-        _pool.run([this](unsigned t) {
-            for (;;) {
-                if (t == 0) round_begin();
-                _barrier.arrive_and_wait();
-                if (_done) break;
-                drain(t);
-                _barrier.arrive_and_wait();
-                if (t == 0) serial_after_drain();
-                _barrier.arrive_and_wait();
-                if (_post)
-                    expand_post(t);
-                else
-                    expand_pre(t);
-                _barrier.arrive_and_wait();
-                if (t == 0) serial_route();
-                _barrier.arrive_and_wait();
-                integrate(t);
-                _barrier.arrive_and_wait();
-                if (t == 0) serial_assign();
-                _barrier.arrive_and_wait();
-                commit(t);
-                _barrier.arrive_and_wait();
-            }
-        });
-    }
-
-    void round_begin() {
-        std::size_t queued = 0;
-        std::size_t iterations = 0;
-        std::optional<std::uint64_t> min;
-        for (unsigned t = 0; t < _n; ++t) {
-            Shard& sh = *_shards[t];
-            queued += sh.wl.size();
-            iterations += sh.pops;
-            const auto key = sh.wl.min_key();
-            if (key && (!min || *key < *min)) min = key;
-        }
-        _stats.peak_queue = std::max(_stats.peak_queue, queued);
-        if (!min) {
-            _done = true;
-            return;
-        }
-        if (_options.max_iterations != 0) {
-            if (iterations >= _options.max_iterations) {
-                _stats.truncated = true;
-                _done = true;
-                return;
-            }
-            // Shared budget keeps the cap exact even though a round drains a
-            // whole weight level: shards claim per-item, leftovers requeue.
-            _round_budget.store(_options.max_iterations - iterations,
-                                std::memory_order_relaxed);
-        }
-        if (_options.check_accepted && iterations >= _next_check) {
-            while (_next_check <= iterations) _next_check *= 2;
-            const auto best = _options.check_accepted();
-            // Same argument as sequentially: anything still reachable costs
-            // at least the frontier key, so a best at or below it is final.
-            // Canonical runs stop strictly, finishing the whole level (see
-            // best_stops) — with level-synchronous rounds that costs at most
-            // the remainder of the current round.
-            const auto frontier = Weight::scalar(*min);
-            if (!best.is_infinite() &&
-                (_aut.canonical_tiebreaks() ? best < frontier : best <= frontier)) {
-                _stats.early_terminated = true;
-                _done = true;
-                return;
-            }
-        }
-        _round_key = *min;
-        ++_rounds;
-    }
-
-    [[nodiscard]] bool claim_budget() {
-        auto budget = _round_budget.load(std::memory_order_relaxed);
-        while (budget != 0) {
-            if (_round_budget.compare_exchange_weak(budget, budget - 1,
-                                                    std::memory_order_relaxed))
-                return true;
-        }
-        return false;
-    }
-
-    void drain(unsigned t) {
-        Shard& sh = *_shards[t];
-        sh.drained.clear();
-        const bool capped = _options.max_iterations != 0;
-        for (;;) {
-            const auto key = sh.wl.min_key();
-            if (!key || *key != _round_key) break;
-            if (capped && !claim_budget()) break; // cap hit: leave the rest queued
-            const auto item = sh.wl.pop();
-            const bool stale =
-                item.is_eps
-                    ? (_aut._epsilons[item.id].finalized ||
-                       !weight_is_current(item, _aut._epsilons[item.id].weight))
-                    : (_aut._transitions[item.id].finalized ||
-                       !weight_is_current(item, _aut._transitions[item.id].weight));
-            if (stale) {
-                // Stale entries don't count as pops sequentially either.
-                if (capped) _round_budget.fetch_add(1, std::memory_order_relaxed);
-                continue;
-            }
-            if (item.is_eps)
-                _aut._epsilons[item.id].finalized = true;
-            else
-                _aut._transitions[item.id].finalized = true;
-            sh.drained.push_back(item);
-            ++sh.pops;
-        }
-    }
-
-    void serial_after_drain() {
-        std::size_t frontier = 0;
-        for (unsigned t = 0; t < _n; ++t) {
-            Shard& sh = *_shards[t];
-            frontier += sh.drained.size();
-            if (!_post) continue; // pre* warmed everything up front
-            for (const auto& item : sh.drained) {
-                if (item.is_eps) continue;
-                const StateId from = _aut._transitions[item.id].from;
-                if (_aut.is_control_state(from)) _pda.prefetch_state(from);
-            }
-        }
-        telemetry::observe(telemetry::Histogram::saturation_frontier, frontier);
-    }
-
-    void stage(Shard& sh, unsigned self, StagedTrans&& staged) {
-        const unsigned dest = solver_shard_of(staged.from, _n);
-        if (dest != self) ++sh.handoffs;
-        sh.out[dest].push_back(std::move(staged));
-    }
-
-    void expand_post(unsigned t) {
-        Shard& sh = *_shards[t];
-        for (const auto& item : sh.drained) {
-            if (item.is_eps) {
-                // Combination: ε(x→q) ∘ (q, L, q')  ⇒  (x, L, q').
-                const EpsTransition& eps = _aut._epsilons[item.id];
-                for (const auto tid : _aut._trans_from[eps.to]) {
-                    const Transition& trans = _aut._transitions[tid];
-                    if (!trans.finalized) continue;
-                    stage(sh, t,
-                          {eps.from, trans.to, trans.label,
-                           extend(eps.weight, trans.weight),
-                           {Provenance::Kind::PostCombine, UINT32_MAX, item.id, tid}});
-                }
-                continue;
-            }
-            const Transition& trans = _aut._transitions[item.id];
-            if (_aut.is_control_state(trans.from)) {
-                auto apply = [&](RuleId rule_id, const nfa::SymbolSet& matched) {
-                    const Rule& rule = _pda.rule(rule_id);
-                    switch (rule.op) {
-                        case Rule::OpKind::Swap:
-                            stage(sh, t,
-                                  {rule.to, trans.to, EdgeLabel::of(rule.label1),
-                                   extend(trans.weight, rule.weight),
-                                   {Provenance::Kind::PostSwap, rule_id, item.id,
-                                    k_no_trans}});
-                            break;
-                        case Rule::OpKind::Pop:
-                            sh.eps_out.push_back(
-                                {rule.to, trans.to, extend(trans.weight, rule.weight),
-                                 {Provenance::Kind::PostEps, rule_id, item.id,
-                                  k_no_trans}});
-                            break;
-                        case Rule::OpKind::Push: {
-                            const EdgeLabel below = rule.label2 == k_same_symbol
-                                                        ? EdgeLabel::of_set(matched)
-                                                        : EdgeLabel::of(rule.label2);
-                            sh.push_out.push_back({rule.to, trans.to, rule.label1, below,
-                                                   extend(trans.weight, rule.weight),
-                                                   rule_id, item.id});
-                            break;
-                        }
-                    }
-                };
-                if (trans.label.is_concrete())
-                    _pda.for_each_applicable(trans.from, trans.label.concrete, apply);
-                else
-                    _pda.for_each_applicable(trans.from, trans.label.set, apply);
-            }
-            // Combination where this transition is the second component.
-            for (const auto eid : _aut._eps_by_target[trans.from]) {
-                const EpsTransition& eps = _aut._epsilons[eid];
-                if (!eps.finalized) continue;
-                stage(sh, t,
-                      {eps.from, trans.to, trans.label, extend(eps.weight, trans.weight),
-                       {Provenance::Kind::PostCombine, UINT32_MAX, eid, item.id}});
-            }
-        }
-    }
-
-    void try_complete_staged(Shard& sh, unsigned t, RuleId rule_id, TransId t1_id,
-                             TransId t2_id) {
-        const Rule& rule = _pda.rule(rule_id);
-        const Transition& t1 = _aut._transitions[t1_id];
-        const Transition& t2 = _aut._transitions[t2_id];
-        EdgeLabel new_label;
-        if (rule.label2 == k_same_symbol) {
-            auto inter = t2.label.intersect(_pda.pre_set(rule.pre));
-            if (!inter) return;
-            new_label = std::move(*inter);
-        } else {
-            if (!t2.label.contains(rule.label2)) return;
-            new_label = label_of_pre(_pda, rule.pre);
-        }
-        stage(sh, t,
-              {rule.from, t2.to, std::move(new_label),
-               extend(rule.weight, extend(t1.weight, t2.weight)),
-               {Provenance::Kind::PrePush, rule_id, t1_id, t2_id}});
-    }
-
-    void expand_pre(unsigned t) {
-        Shard& sh = *_shards[t];
-        for (const auto& item : sh.drained) {
-            const Transition& trans = _aut._transitions[item.id];
-            if (trans.from < _pda.state_count()) {
-                for (const auto rule_id : _pda.swaps_into(trans.from)) {
-                    const Rule& rule = _pda.rule(rule_id);
-                    if (!trans.label.contains(rule.label1)) continue;
-                    stage(sh, t,
-                          {rule.from, trans.to, label_of_pre(_pda, rule.pre),
-                           extend(rule.weight, trans.weight),
-                           {Provenance::Kind::PreSwap, rule_id, item.id, k_no_trans}});
-                }
-                for (const auto rule_id : _pda.pushes_into(trans.from)) {
-                    const Rule& rule = _pda.rule(rule_id);
-                    if (!trans.label.contains(rule.label1)) continue;
-                    sh.partial_out.push_back({trans.to, {rule_id, item.id}});
-                    // Same-round t2s are already finalized by the drain
-                    // phase, so the pair is never missed: whichever side
-                    // finalizes later sees the other (and same-round pairs
-                    // are caught exactly once, here — the partial below is
-                    // not registered until the route phase).
-                    for (const auto tid : _aut._trans_from[trans.to]) {
-                        if (_aut._transitions[tid].finalized)
-                            try_complete_staged(sh, t, rule_id, item.id, tid);
-                    }
-                }
-            }
-            // This transition as the second written symbol of pending pushes.
-            for (const auto& [rule_id, t1_id] : _partials[trans.from])
-                try_complete_staged(sh, t, rule_id, t1_id, item.id);
-        }
-    }
-
-    void route_from(unsigned src, StagedTrans&& staged) {
-        const unsigned dest = solver_shard_of(staged.from, _n);
-        if (dest != src) ++_shards[src]->handoffs;
-        _shards[src]->out[dest].push_back(std::move(staged));
-    }
-
-    /// Mirror of PAutomaton::add_epsilon with the label-correcting
-    /// un-finalize fallback; runs serially in the route phase because the
-    /// ε-indexes are global (cross-shard by construction: rule.to vs
-    /// trans.to owners are unrelated).
-    void commit_epsilon(unsigned src, StagedEps& staged) {
-        const auto key = PAutomaton::pack(staged.from, staged.to);
-        const auto next = static_cast<std::uint32_t>(_aut._epsilons.size());
-        const auto [id, inserted] = _aut._eps_index.try_emplace(key, next);
-        const unsigned dest = solver_shard_of(staged.from, _n);
-        if (!inserted) {
-            EpsTransition& existing = _aut._epsilons[id];
-            if (!(staged.weight < existing.weight)) {
-                if (_aut._canonical_tiebreaks && staged.weight == existing.weight &&
-                    _aut.compare_provenance(staged.prov, existing.prov) < 0)
-                    existing.prov = staged.prov;
-                return;
-            }
-            existing.weight = std::move(staged.weight);
-            existing.prov = staged.prov;
-            existing.finalized = false; // label-correcting fallback (class doc)
-            if (dest != src) ++_shards[src]->handoffs;
-            ++_eps_relax;
-            _shards[dest]->wl.push(existing.weight, true, id);
-            return;
-        }
-        _aut.note_weight(staged.weight);
-        _aut._epsilons.push_back(
-            {staged.from, staged.to, std::move(staged.weight), staged.prov, false});
-        _aut._eps_by_target[staged.to].push_back(id);
-        _aut._eps_from[staged.from].push_back(id);
-        if (dest != src) ++_shards[src]->handoffs;
-        ++_eps_relax;
-        _shards[dest]->wl.push(_aut._epsilons[id].weight, true, id);
-    }
-
-    void serial_route() {
-        if (_post) {
-            for (unsigned s = 0; s < _n; ++s) {
-                Shard& sh = *_shards[s];
-                for (auto& push : sh.push_out) {
-                    // mid_state may add an automaton state — the reason push
-                    // legs resolve serially (t2's owner is unknowable until
-                    // the mid state has an id).
-                    const StateId mid = _aut.mid_state(push.rule_to, push.label1);
-                    route_from(s, {push.rule_to, mid, EdgeLabel::of(push.label1),
-                                   Weight::one(),
-                                   {Provenance::Kind::PostPushT1, push.rule, k_no_trans,
-                                    k_no_trans}});
-                    route_from(s, {mid, push.to, std::move(push.below),
-                                   std::move(push.weight),
-                                   {Provenance::Kind::PostPushT2, push.rule, push.src,
-                                    k_no_trans}});
-                }
-                sh.push_out.clear();
-                for (auto& eps : sh.eps_out) commit_epsilon(s, eps);
-                sh.eps_out.clear();
-            }
-        } else {
-            for (unsigned s = 0; s < _n; ++s) {
-                Shard& sh = *_shards[s];
-                for (const auto& [at, partial] : sh.partial_out)
-                    _partials[at].push_back(partial);
-                sh.partial_out.clear();
-            }
-        }
-    }
-
-    void make_fresh(Shard& sh, StagedTrans& staged, std::uint64_t key, TransId chain_tail,
-                    std::uint32_t fresh_prev, TransId global_head) {
-        sh.fresh.push_back({staged.from, staged.to, std::move(staged.label),
-                            std::move(staged.weight), staged.prov, key, chain_tail,
-                            fresh_prev, global_head});
-    }
-
-    void relax_existing(Shard& sh, TransId id, StagedTrans& staged) {
-        Transition& existing = _aut._transitions[id];
-        if (!(staged.weight < existing.weight)) {
-            // Equal-weight re-derivation: canonical runs keep the smallest
-            // provenance so the choice is content-determined, not a function
-            // of shard/round arrival order.  Safe without locks — a target
-            // transition is integrated by exactly one shard.
-            if (_aut._canonical_tiebreaks && staged.weight == existing.weight &&
-                _aut.compare_provenance(staged.prov, existing.prov) < 0)
-                existing.prov = staged.prov;
-            return;
-        }
-        existing.weight = std::move(staged.weight);
-        existing.prov = staged.prov;
-        existing.finalized = false; // label-correcting fallback (class doc)
-        ++sh.relaxations;
-        sh.wl.push(existing.weight, false, id);
-    }
-
-    void relax_fresh(Fresh& fresh, StagedTrans& staged) {
-        if (!(staged.weight < fresh.weight)) {
-            if (_aut._canonical_tiebreaks && staged.weight == fresh.weight &&
-                _aut.compare_provenance(staged.prov, fresh.prov) < 0)
-                fresh.prov = staged.prov;
-            return;
-        }
-        fresh.weight = std::move(staged.weight);
-        fresh.prov = staged.prov;
-    }
-
-    void integrate_concrete(Shard& sh, StagedTrans& staged) {
-        const auto key = PAutomaton::pack(staged.from, staged.label.concrete);
-        const auto found = sh.heads.find(key);
-        if (found == util::FlatMap64::k_npos) {
-            make_fresh(sh, staged, key, k_no_trans, UINT32_MAX, k_no_trans);
-            sh.heads.insert_or_assign(
-                key, k_fresh_flag | static_cast<std::uint32_t>(sh.fresh.size() - 1));
-            return;
-        }
-        if ((found & k_fresh_flag) != 0) {
-            // Walk this round's fresh chain (latest first), then the
-            // pre-existing global chain behind it.
-            const std::uint32_t latest = found & ~k_fresh_flag;
-            std::uint32_t cursor = latest;
-            for (;;) {
-                Fresh& fresh = sh.fresh[cursor];
-                if (fresh.to == staged.to) {
-                    relax_fresh(fresh, staged);
-                    return;
-                }
-                if (fresh.fresh_prev == UINT32_MAX) break;
-                cursor = fresh.fresh_prev;
-            }
-            for (TransId cur = sh.fresh[cursor].global_head; cur != k_no_trans;
-                 cur = _aut._transitions[cur].next_same_key) {
-                if (_aut._transitions[cur].to == staged.to) {
-                    relax_existing(sh, cur, staged);
-                    return;
-                }
-            }
-            make_fresh(sh, staged, key, k_no_trans, latest, k_no_trans);
-            sh.heads.insert_or_assign(
-                key, k_fresh_flag | static_cast<std::uint32_t>(sh.fresh.size() - 1));
-            return;
-        }
-        TransId last = found;
-        for (TransId cur = found; cur != k_no_trans;
-             last = cur, cur = _aut._transitions[cur].next_same_key) {
-            if (_aut._transitions[cur].to == staged.to) {
-                relax_existing(sh, cur, staged);
-                return;
-            }
-        }
-        make_fresh(sh, staged, key, last, UINT32_MAX, found);
-        sh.heads.insert_or_assign(
-            key, k_fresh_flag | static_cast<std::uint32_t>(sh.fresh.size() - 1));
-    }
-
-    void integrate_set(Shard& sh, StagedTrans& staged) {
-        // Set-labelled: linear scan, mirroring the sequential slow path.
-        for (const auto id : _aut._trans_from[staged.from]) {
-            const Transition& existing = _aut._transitions[id];
-            if (existing.to != staged.to || existing.label.is_concrete()) continue;
-            if (!(existing.label == staged.label)) continue;
-            relax_existing(sh, id, staged);
-            return;
-        }
-        for (auto& fresh : sh.fresh) {
-            if (fresh.from != staged.from || fresh.to != staged.to) continue;
-            if (fresh.label.is_concrete() || !(fresh.label == staged.label)) continue;
-            relax_fresh(fresh, staged);
-            return;
-        }
-        make_fresh(sh, staged, 0, k_no_trans, UINT32_MAX, k_no_trans);
-    }
-
-    void integrate(unsigned t) {
-        Shard& own = *_shards[t];
-        for (unsigned s = 0; s < _n; ++s) {
-            auto& in = _shards[s]->out[t]; // only thread t touches column t
-            for (auto& staged : in) {
-                if (staged.label.is_concrete())
-                    integrate_concrete(own, staged);
-                else
-                    integrate_set(own, staged);
-            }
-            in.clear();
-        }
-    }
-
-    void serial_assign() {
-        auto base = static_cast<std::uint32_t>(_aut._transitions.size());
-        for (unsigned t = 0; t < _n; ++t) {
-            _bases[t] = base;
-            base += static_cast<std::uint32_t>(_shards[t]->fresh.size());
-        }
-        _aut._transitions.resize(base);
-    }
-
-    void commit(unsigned t) {
-        Shard& sh = *_shards[t];
-        const std::uint32_t base = _bases[t];
-        for (std::uint32_t i = 0; i < sh.fresh.size(); ++i) {
-            Fresh& fresh = sh.fresh[i];
-            const TransId id = base + i;
-            Transition& slot = _aut._transitions[id];
-            slot.from = fresh.from;
-            slot.to = fresh.to;
-            slot.label = std::move(fresh.label);
-            slot.weight = std::move(fresh.weight);
-            slot.prov = fresh.prov;
-            slot.next_same_key = k_no_trans;
-            slot.finalized = false;
-            _aut._trans_from[slot.from].push_back(id); // owner-disjoint vectors
-            if (slot.label.is_concrete()) {
-                if (fresh.fresh_prev != UINT32_MAX) {
-                    _aut._transitions[base + fresh.fresh_prev].next_same_key = id;
-                } else {
-                    if (fresh.chain_tail != k_no_trans)
-                        _aut._transitions[fresh.chain_tail].next_same_key = id;
-                    // Restore the head map to global-id space: the chain
-                    // head is the pre-existing one, or this transition.
-                    sh.heads.insert_or_assign(
-                        fresh.key,
-                        fresh.global_head != k_no_trans ? fresh.global_head : id);
-                }
-            }
-            if (const auto scalar = slot.weight.as_scalar();
-                scalar && *scalar > sh.max_scalar)
-                sh.max_scalar = *scalar;
-            ++sh.relaxations;
-            sh.wl.push(slot.weight, false, id);
-        }
-        sh.fresh.clear();
-    }
-
-    void finish() {
-        // Sync the automaton's global key map with everything the rounds
-        // created: ids ascend along every chain, so the first insert per
-        // key is the true head; pre-existing heads win via try_emplace.
-        for (TransId id = _seeded_transitions;
-             id < static_cast<TransId>(_aut._transitions.size()); ++id) {
-            const Transition& trans = _aut._transitions[id];
-            if (trans.label.is_concrete())
-                _aut._concrete_heads.try_emplace(
-                    PAutomaton::pack(trans.from, trans.label.concrete), id);
-        }
-        _stats.threads_used = _n;
-        _stats.rounds = _rounds;
-        _stats.shard_pops.resize(_n);
-        std::size_t pops = 0;
-        std::size_t handoffs = 0;
-        std::size_t relaxations = _eps_relax;
-        std::uint64_t max_scalar = _aut._max_scalar_weight;
-        for (unsigned t = 0; t < _n; ++t) {
-            const Shard& sh = *_shards[t];
-            _stats.shard_pops[t] = sh.pops;
-            pops += sh.pops;
-            handoffs += sh.handoffs;
-            relaxations += sh.relaxations;
-            max_scalar = std::max(max_scalar, sh.max_scalar);
-        }
-        _stats.iterations = pops;
-        _stats.handoffs = handoffs;
-        _stats.relaxations = relaxations;
-        _aut._max_scalar_weight = max_scalar;
-        if (pops > 0) {
-            std::size_t max_pops = 0;
-            for (const auto p : _stats.shard_pops) max_pops = std::max(max_pops, p);
-            _stats.shard_imbalance = static_cast<double>(max_pops) * static_cast<double>(_n) /
-                                     static_cast<double>(pops);
-            telemetry::gauge_max(telemetry::Gauge::shard_imbalance_pct_high_water,
-                                 static_cast<std::uint64_t>(_stats.shard_imbalance * 100.0));
-        }
-        telemetry::count(telemetry::Counter::solver_parallel_pops, pops);
-        telemetry::count(telemetry::Counter::solver_handoff_tuples, handoffs);
-        telemetry::count(telemetry::Counter::solver_parallel_rounds, _rounds);
-        telemetry::gauge_max(telemetry::Gauge::solver_threads_high_water, _n);
-    }
-
-    PAutomaton& _aut;
-    const Pda& _pda;
-    const SolverOptions& _options;
-    SolverStats& _stats;
-    util::TaskPool& _pool;
-    const unsigned _n;
-    util::SpinBarrier _barrier;
-    std::vector<std::unique_ptr<Shard>> _shards;
-    std::vector<std::uint32_t> _bases;
-    std::vector<std::vector<std::pair<RuleId, TransId>>> _partials; ///< pre* only
-    TransId _seeded_transitions = 0;
-    bool _post = true;
-    // Round state: written by thread 0 between barriers, read by all after
-    // the next barrier (the barrier's release/acquire pair publishes it).
-    std::uint64_t _round_key = 0;
-    bool _done = false;
-    std::size_t _rounds = 0;
-    std::size_t _next_check = 512;
-    std::size_t _eps_relax = 0;
-    std::atomic<std::size_t> _round_budget{SIZE_MAX}; ///< max_iterations only
-};
-
-namespace {
-
-constexpr std::size_t k_auto_min_states = 2048;
-constexpr std::size_t k_max_solver_threads = 64;
-
-std::size_t env_solver_threads() {
-    static const std::size_t cached = [] {
-        const char* env = std::getenv("AALWINES_SOLVER_THREADS");
-        if (env == nullptr || *env == '\0') return std::size_t{1};
-        if (std::string_view(env) == "auto") return k_solver_threads_auto;
-        char* end = nullptr;
-        const auto value = std::strtoull(env, &end, 10);
-        if (end == env || *end != '\0' || value == 0) return std::size_t{1};
-        return static_cast<std::size_t>(value);
-    }();
-    return cached;
-}
-
-unsigned resolve_solver_threads(const PAutomaton& aut, const SolverOptions& options,
-                                bool bucket_ok) {
-    if (!bucket_ok) return 1; // level rounds need scalar keys
-    std::size_t requested = options.threads != 0 ? options.threads : env_solver_threads();
-    if (requested == k_solver_threads_auto) {
-        const std::size_t hw = std::thread::hardware_concurrency();
-        // Sharding a small problem (or a single core) only adds barriers.
-        if (hw <= 1 || aut.pda().state_count() < k_auto_min_states) return 1;
-        requested = std::min<std::size_t>(hw, 8);
-    }
-    return static_cast<unsigned>(std::min(requested, k_max_solver_threads));
-}
-
-/// Pool + per-shard arenas for a parallel run, cached in the workspace when
-/// one is supplied so repeated queries reuse threads and shard memory.
-struct ParallelResources {
-    util::TaskPool* pool = nullptr;
-    std::span<util::Arena> arenas;
-    std::unique_ptr<util::TaskPool> owned_pool;
-    std::vector<util::Arena> owned_arenas;
-};
-
-ParallelResources parallel_resources(const SolverOptions& options, unsigned threads) {
-    ParallelResources res;
-    if (options.workspace != nullptr) {
-        auto& ws = *options.workspace;
-        if (!ws.pool || ws.pool->threads() != threads)
-            ws.pool = std::make_unique<util::TaskPool>(threads);
-        if (ws.shard_arenas.size() < threads) ws.shard_arenas.resize(threads);
-        res.pool = ws.pool.get();
-        res.arenas = std::span(ws.shard_arenas.data(), threads);
-        return res;
-    }
-    res.owned_pool = std::make_unique<util::TaskPool>(threads);
-    res.owned_arenas.resize(threads);
-    res.pool = res.owned_pool.get();
-    res.arenas = std::span(res.owned_arenas.data(), threads);
-    return res;
-}
-
-} // namespace
-
 SolverStats post_star(PAutomaton& aut, const SolverOptions& options) {
     AALWINES_SPAN("post_star");
     SolverStats stats;
     std::size_t eps_relaxations = 0;
 
-    const bool bucket_ok = bucket_eligible(aut, options);
-    const unsigned threads = resolve_solver_threads(aut, options, bucket_ok);
-    if (threads > 1) {
-        auto res = parallel_resources(options, threads);
-        ParallelSaturation engine(aut, options, stats, *res.pool, res.arenas);
-        engine.run_post();
-        eps_relaxations = engine.eps_relaxations();
-        stats.bucket_worklist = true;
-    } else if (bucket_ok) {
+    if (bucket_eligible(aut, options)) {
         util::Arena local_arena;
         util::Arena& arena = options.workspace ? options.workspace->worklist : local_arena;
         arena.reset();
@@ -1235,14 +424,7 @@ SolverStats pre_star(PAutomaton& aut, const SolverOptions& options) {
     AALWINES_SPAN("pre_star");
     SolverStats stats;
 
-    const bool bucket_ok = bucket_eligible(aut, options);
-    const unsigned threads = resolve_solver_threads(aut, options, bucket_ok);
-    if (threads > 1) {
-        auto res = parallel_resources(options, threads);
-        ParallelSaturation engine(aut, options, stats, *res.pool, res.arenas);
-        engine.run_pre();
-        stats.bucket_worklist = true;
-    } else if (bucket_ok) {
+    if (bucket_eligible(aut, options)) {
         util::Arena local_arena;
         util::Arena& arena = options.workspace ? options.workspace->worklist : local_arena;
         arena.reset();
@@ -1274,11 +456,9 @@ std::vector<AcceptedConfig> find_accepted_n(const PAutomaton& aut,
     // own path.
     //
     // Known caveat: multi-witness enumeration keeps the plain (weight, seq)
-    // discipline — equal-weight walk *order* here is insertion-order based
-    // and is not covered by the canonical tie-breaking guarantee (which
-    // applies to the single-witness find_accepted only).  Callers requesting
-    // max_witnesses > 1 may see equal-weight witnesses permuted across
-    // solver thread counts.
+    // discipline — equal-weight walk *order* here follows automaton
+    // insertion order and is not covered by the canonical tie-breaking
+    // guarantee (which applies to the single-witness find_accepted only).
     struct Visit {
         Weight dist;
         std::uint64_t key = 0;            // (automaton state << 32) | nfa state
@@ -1380,18 +560,9 @@ std::vector<AcceptedConfig> find_accepted_n(const PAutomaton& aut,
     return results;
 }
 
-namespace {
-
-/// Scalar product-search cap: the flat node table is product-indexed, so
-/// bound its footprint (nodes are 32 bytes; 2²¹ entries ≈ 64 MiB).
-constexpr std::size_t k_flat_search_cap = std::size_t{1} << 21;
-
-/// Product-graph node of the scalar fast path.  Trivially destructible and
-/// all-ones initializable: dist UINT64_MAX = unreached, parent/via fields
-/// UINT32_MAX = the matching "none" sentinels — so the arena-backed table is
-/// initialized with one memset.  No `finalized` flag: pushes happen only on
-/// strict improvement, so at most one live heap entry matches `dist`, and
-/// monotone weights make relaxing a settled node impossible.
+/// Dijkstra over the product of the automaton and the stack NFA: product
+/// nodes are interned on demand through a flat key→id table, so the search
+/// touches only the nodes it reaches — sparse product graphs stay sparse.
 ///
 /// Canonical runs (PAutomaton::canonical_tiebreaks) search by the composite
 /// key (dist, hops) instead of dist alone: hops is a strictly positive edge
@@ -1401,228 +572,15 @@ constexpr std::size_t k_flat_search_cap = std::size_t{1} << 21;
 /// offered by a strictly-smaller-key predecessor before the node itself pops.
 /// Among exact (dist, hops) ties the canonically smallest step is kept, so
 /// the reconstructed path is a pure function of automaton content.
-struct ScalarNode {
-    std::uint64_t dist;
-    std::uint32_t hops;      ///< canonical runs only; UINT32_MAX = unreached
-    std::uint32_t parent;    ///< product index, UINT32_MAX = search root
-    TransId via_trans;       ///< k_no_trans => ε-move or root
-    std::uint32_t via_epsilon;
-    Symbol via_symbol;
-};
-static_assert(std::is_trivially_destructible_v<ScalarNode>);
-
-struct ScalarItem {
-    std::uint64_t dist;
-    std::uint64_t seq;
-    std::uint32_t hops;
-    std::uint32_t node;
-};
-struct ScalarCompare {
-    bool canonical = false;
-    bool operator()(const ScalarItem& a, const ScalarItem& b) const {
-        if (a.dist != b.dist) return a.dist > b.dist;
-        if (canonical && a.hops != b.hops) return a.hops > b.hops;
-        return a.seq > b.seq;
-    }
-};
-
-[[nodiscard]] std::uint64_t saturating_add(std::uint64_t a, std::uint64_t b) {
-    return a > UINT64_MAX - b ? UINT64_MAX : a + b;
-}
-
-/// find_accepted over a flat, arena-backed node table: sound when every
-/// automaton weight is scalar.  Mirrors the general path's push order (ε
-/// first, then transitions) and (dist, seq) tie-break, so both paths settle
-/// nodes — and pick witnesses — identically.  The returned weight is
-/// *recomputed* by extending the actual edge weights along the found path:
-/// Weight::one() and Weight::scalar(0) compare equal but serialize
-/// differently, and callers round-trip weights into reports byte-for-byte.
-/// (Sole divergence: a path whose scalar distance saturates to exactly
-/// 2⁶⁴−1 collides with the unreached sentinel and is not found.)
-std::optional<AcceptedConfig> find_accepted_scalar(const PAutomaton& aut,
-                                                   std::span<const StateId> starts,
-                                                   const nfa::Nfa& stack_nfa,
-                                                   Symbol domain, util::Arena& arena) {
-    const std::size_t n_nfa = stack_nfa.states().size();
-    const std::size_t n_product = aut.state_count() * n_nfa;
-    const bool canonical = aut.canonical_tiebreaks();
-    auto* nodes = arena.create_array<ScalarNode>(n_product);
-    std::memset(static_cast<void*>(nodes), 0xFF, n_product * sizeof(ScalarNode));
-
-    std::priority_queue<ScalarItem, std::vector<ScalarItem>, ScalarCompare> queue{
-        ScalarCompare{canonical}};
-    std::uint64_t seq = 0;
-    std::size_t decrease_keys = 0;
-
-    // Content key of a product node: (canonical automaton state, NFA state).
-    auto prod_key = [&](std::uint32_t index) {
-        return std::pair(aut.canonical_state(static_cast<StateId>(index / n_nfa)),
-                         static_cast<std::uint32_t>(index % n_nfa));
-    };
-    // Canonical order on the (incoming step, predecessor) candidates of a
-    // node at an exact (dist, hops) tie: ε-steps first, then the edge's
-    // content identity, the read symbol, and finally the predecessor's key.
-    auto step_less = [&](std::uint32_t cand_parent, TransId cand_trans,
-                         std::uint32_t cand_eps, Symbol cand_symbol,
-                         const ScalarNode& inc) {
-        const bool cand_is_eps = cand_trans == k_no_trans;
-        const bool inc_is_eps = inc.via_trans == k_no_trans;
-        if (cand_is_eps != inc_is_eps) return cand_is_eps;
-        if (cand_is_eps) {
-            if (const int c = aut.compare_eps_identity(cand_eps, inc.via_epsilon))
-                return c < 0;
-        } else {
-            if (const int c = aut.compare_trans_identity(cand_trans, inc.via_trans))
-                return c < 0;
-            if (cand_symbol != inc.via_symbol) return cand_symbol < inc.via_symbol;
-        }
-        if (inc.parent == UINT32_MAX) return false; // a root incumbent stays
-        return prod_key(cand_parent) < prod_key(inc.parent);
-    };
-    auto reconstruct = [&](std::uint32_t accept) {
-        AcceptedConfig config;
-        std::uint32_t cursor = accept;
-        while (nodes[cursor].parent != UINT32_MAX) {
-            const auto& info = nodes[cursor];
-            if (info.via_trans == k_no_trans) {
-                // ε-move: only possible as the very first step.
-                config.leading_epsilon = info.via_epsilon;
-            } else {
-                config.path.emplace_back(info.via_trans, info.via_symbol);
-            }
-            cursor = info.parent;
-        }
-        std::reverse(config.path.begin(), config.path.end());
-        config.control_state = static_cast<StateId>(cursor / n_nfa);
-        Weight weight = Weight::one();
-        if (config.leading_epsilon)
-            weight = extend(weight, aut.epsilon(*config.leading_epsilon).weight);
-        for (const auto& [tid, symbol] : config.path)
-            weight = extend(weight, aut.transition(tid).weight);
-        config.weight = std::move(weight);
-        return config;
-    };
-
-    for (const auto start : starts) {
-        for (const auto n0 : stack_nfa.initial()) {
-            const auto index = static_cast<std::uint32_t>(start * n_nfa + n0);
-            if (nodes[index].dist > 0) {
-                nodes[index].dist = 0;
-                nodes[index].hops = 0;
-                queue.push({0, seq++, 0, index});
-            }
-        }
-    }
-
-    // Canonical runs drain the whole minimal-dist level before choosing the
-    // accepting node, instead of returning at the first accepting pop.
-    std::optional<std::uint32_t> accept_node;
-    std::uint64_t accept_dist = 0;
-
-    while (!queue.empty()) {
-        if (accept_node && queue.top().dist > accept_dist) break;
-        const auto item = queue.top();
-        queue.pop();
-        if (item.dist != nodes[item.node].dist ||
-            (canonical && item.hops != nodes[item.node].hops))
-            continue; // stale
-        const auto dist = item.dist;
-        const auto hops = item.hops;
-        const auto a_state = static_cast<StateId>(item.node / n_nfa);
-        const auto n_state = static_cast<std::uint32_t>(item.node % n_nfa);
-
-        if (aut.is_final(a_state) && stack_nfa.states()[n_state].accepting) {
-            if (!canonical) {
-                telemetry::count(telemetry::Counter::accept_decrease_keys, decrease_keys);
-                return reconstruct(item.node);
-            }
-            if (!accept_node) {
-                accept_node = item.node;
-                accept_dist = dist;
-            } else if (prod_key(item.node) < prod_key(*accept_node)) {
-                accept_node = item.node; // same dist: drained level only
-            }
-            // Fall through: this node may still be a parent candidate on
-            // another equal-dist accepting chain (zero-weight edges).
-        }
-
-        // ε-moves (post* only; they leave control states and read nothing).
-        if (aut.is_control_state(a_state)) {
-            for (const auto eps_id : aut.epsilons_from(a_state)) {
-                const auto& eps = aut.epsilon(eps_id);
-                if (!eps.finalized) continue;
-                const auto next_index =
-                    static_cast<std::uint32_t>(eps.to * n_nfa + n_state);
-                const auto next_dist = saturating_add(dist, *eps.weight.as_scalar());
-                auto& next = nodes[next_index];
-                if (next_dist < next.dist ||
-                    (canonical && next_dist == next.dist && hops + 1 < next.hops)) {
-                    next.dist = next_dist;
-                    next.hops = hops + 1;
-                    next.parent = item.node;
-                    next.via_trans = k_no_trans;
-                    next.via_epsilon = eps_id;
-                    next.via_symbol = k_no_symbol;
-                    ++decrease_keys;
-                    queue.push({next_dist, seq++, hops + 1, next_index});
-                } else if (canonical && next_dist == next.dist && hops + 1 == next.hops &&
-                           step_less(item.node, k_no_trans, eps_id, k_no_symbol, next)) {
-                    next.parent = item.node;
-                    next.via_trans = k_no_trans;
-                    next.via_epsilon = eps_id;
-                    next.via_symbol = k_no_symbol;
-                }
-            }
-        }
-
-        for (const auto tid : aut.transitions_from(a_state)) {
-            const auto& trans = aut.transition(tid);
-            if (!trans.finalized) continue;
-            const auto trans_weight = *trans.weight.as_scalar();
-            for (const auto& edge : stack_nfa.states()[n_state].edges) {
-                auto inter = trans.label.intersect(edge.symbols);
-                if (!inter) continue;
-                const auto symbol = inter->pick(domain);
-                if (!symbol) continue;
-                const auto next_index =
-                    static_cast<std::uint32_t>(trans.to * n_nfa + edge.target);
-                const auto next_dist = saturating_add(dist, trans_weight);
-                auto& next = nodes[next_index];
-                if (next_dist < next.dist ||
-                    (canonical && next_dist == next.dist && hops + 1 < next.hops)) {
-                    next.dist = next_dist;
-                    next.hops = hops + 1;
-                    next.parent = item.node;
-                    next.via_trans = tid;
-                    next.via_epsilon = UINT32_MAX;
-                    next.via_symbol = *symbol;
-                    ++decrease_keys;
-                    queue.push({next_dist, seq++, hops + 1, next_index});
-                } else if (canonical && next_dist == next.dist && hops + 1 == next.hops &&
-                           step_less(item.node, tid, UINT32_MAX, *symbol, next)) {
-                    next.parent = item.node;
-                    next.via_trans = tid;
-                    next.via_epsilon = UINT32_MAX;
-                    next.via_symbol = *symbol;
-                }
-            }
-        }
-    }
-    telemetry::count(telemetry::Counter::accept_decrease_keys, decrease_keys);
-    if (accept_node) return reconstruct(*accept_node);
-    return std::nullopt;
-}
-
-/// General-weight find_accepted: product nodes interned on demand through a
-/// flat key→id table (sparse product graphs stay sparse).
-std::optional<AcceptedConfig> find_accepted_general(const PAutomaton& aut,
-                                                    std::span<const StateId> starts,
-                                                    const nfa::Nfa& stack_nfa,
-                                                    Symbol domain) {
+std::optional<AcceptedConfig> find_accepted(const PAutomaton& aut,
+                                            std::span<const StateId> starts,
+                                            const nfa::Nfa& stack_nfa, Symbol domain,
+                                            SolverWorkspace* /*workspace*/) {
+    AALWINES_SPAN("find_accepted");
     struct NodeInfo {
         Weight dist = Weight::infinity();
         std::uint64_t key = 0;
-        std::uint32_t hops = UINT32_MAX;     // canonical runs only (see ScalarNode)
+        std::uint32_t hops = UINT32_MAX;     // canonical runs only
         std::uint32_t parent = UINT32_MAX;   // index into `nodes`
         TransId via_trans = k_no_trans;      // k_no_trans => via ε-transition
         std::uint32_t via_epsilon = UINT32_MAX;
@@ -1667,12 +625,14 @@ std::optional<AcceptedConfig> find_accepted_general(const PAutomaton& aut,
     std::uint64_t seq = 0;
     std::size_t decrease_keys = 0;
 
-    // See find_accepted_scalar: content keys and the canonical step order for
-    // exact (dist, hops) ties; hops keep the parent graph acyclic.
+    // Content key of a product node: (canonical automaton state, NFA state).
     auto prod_key = [&](std::uint32_t id) {
         return std::pair(aut.canonical_state(static_cast<StateId>(nodes[id].key >> 32)),
                          static_cast<std::uint32_t>(nodes[id].key & 0xFFFFFFFFu));
     };
+    // Canonical order on the (incoming step, predecessor) candidates of a
+    // node at an exact (dist, hops) tie: ε-steps first, then the edge's
+    // content identity, the read symbol, and finally the predecessor's key.
     auto step_less = [&](std::uint32_t cand_parent, TransId cand_trans,
                          std::uint32_t cand_eps, Symbol cand_symbol,
                          const NodeInfo& inc) {
@@ -1815,25 +775,6 @@ std::optional<AcceptedConfig> find_accepted_general(const PAutomaton& aut,
     telemetry::count(telemetry::Counter::accept_decrease_keys, decrease_keys);
     if (accept_node) return reconstruct(*accept_node);
     return std::nullopt;
-}
-
-} // namespace
-
-std::optional<AcceptedConfig> find_accepted(const PAutomaton& aut,
-                                            std::span<const StateId> starts,
-                                            const nfa::Nfa& stack_nfa, Symbol domain,
-                                            SolverWorkspace* workspace) {
-    AALWINES_SPAN("find_accepted");
-    const std::size_t n_product = aut.state_count() * stack_nfa.states().size();
-    if (aut.all_scalar_weights() && n_product > 0 && n_product <= k_flat_search_cap) {
-        if (workspace != nullptr) {
-            workspace->search.reset();
-            return find_accepted_scalar(aut, starts, stack_nfa, domain, workspace->search);
-        }
-        util::Arena local_arena;
-        return find_accepted_scalar(aut, starts, stack_nfa, domain, local_arena);
-    }
-    return find_accepted_general(aut, starts, stack_nfa, domain);
 }
 
 namespace {

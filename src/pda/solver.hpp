@@ -8,7 +8,6 @@
 //     sequences are reconstructed without a second search.
 
 #include <functional>
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -16,65 +15,35 @@
 #include "nfa/nfa.hpp"
 #include "pda/pautomaton.hpp"
 #include "util/arena.hpp"
-#include "util/task_pool.hpp"
 
 namespace aalwines::pda {
 
-/// Reusable scratch memory for the solver entry points.  Saturation and the
-/// accepting-configuration search each reset their own arena on entry, so a
-/// workspace shared across calls reuses the high-water footprint instead of
-/// re-allocating.  Two arenas because the searches run *re-entrantly* inside
-/// saturation (SolverOptions::check_accepted → find_accepted): one arena
-/// would be reset under the worklist's live bucket nodes.  Not thread-safe:
-/// one workspace per thread (the parallel solver's worker threads live
-/// *inside* one workspace-owning call, they never share a workspace between
-/// calls).
+/// Reusable scratch memory for the saturation entry points: the bucket
+/// worklist resets its arena on entry, so a workspace shared across calls
+/// reuses the high-water footprint instead of re-allocating.  Not
+/// thread-safe: one workspace per thread.  Saturation is sequential;
+/// parallelism runs across queries (batch jobs, server workers, sweep
+/// chains), each with its own workspace.
 struct SolverWorkspace {
     util::Arena worklist; ///< post*/pre* bucket-queue nodes
-    util::Arena search;   ///< find_accepted product-graph nodes
-    /// Parallel saturation (SolverOptions::threads > 1) caches its worker
-    /// pool and per-shard arenas here, so repeated queries on one workspace
-    /// reuse threads and high-water shard memory.
-    std::unique_ptr<util::TaskPool> pool;
-    std::vector<util::Arena> shard_arenas;
 };
-
-/// Sentinel for SolverOptions::threads / AALWINES_SOLVER_THREADS=auto: pick
-/// a thread count from the hardware and the problem size (1 when the
-/// problem is small, weights are non-scalar, or the machine has one core).
-inline constexpr std::size_t k_solver_threads_auto = SIZE_MAX;
-
-/// Deterministic owner shard of a control/automaton state (splitmix-style
-/// hash of the interned state id).  Exposed so tests can pin the
-/// assignment: rebalancing changes must show up in review, not silently
-/// reshuffle every parallel run.
-[[nodiscard]] unsigned solver_shard_of(StateId state, unsigned shard_count) noexcept;
 
 /// Worklist discipline for the saturation Dijkstra loop.
 enum class Worklist : std::uint8_t {
-    Auto,   ///< Bucket when every weight is a small scalar, else Heap
-    Heap,   ///< binary heap ordered by (weight, insertion seq)
-    Bucket, ///< Dial's bucket queue keyed on scalar weights, FIFO per bucket
-            ///< (falls back to Heap when weights are not scalar)
+    Auto, ///< Dial's bucket queue (FIFO per scalar-weight bucket) when every
+          ///< weight is scalar, else Heap
+    Heap, ///< binary heap ordered by (weight, insertion seq)
 };
 
 struct SolverOptions {
     /// Worklist selection; Auto picks the bucket queue whenever sound.  The
     /// two disciplines finalize items in the identical (weight, insertion)
-    /// order, so results do not depend on this knob (tested).
+    /// order, so results do not depend on this knob: forcing Heap is the
+    /// cross-check the worklist-equivalence tests run.
     Worklist worklist = Worklist::Auto;
 
     /// Optional scratch-memory workspace reused across calls.
     SolverWorkspace* workspace = nullptr;
-
-    /// Saturation worker threads.  0 (the default) reads the
-    /// AALWINES_SOLVER_THREADS environment override ("auto" or a count;
-    /// unset → 1).  k_solver_threads_auto sizes from the hardware.  Any
-    /// resolved count above 1 runs the sharded parallel loop — results
-    /// (accepting sets and minimal weights) are identical to sequential;
-    /// equal-weight witness tie-breaks may differ.  Forced back to 1 when
-    /// the bucket worklist is ineligible (non-scalar weights, Heap).
-    std::size_t threads = 0;
 
     /// Stop after this many finalized items (0 = unlimited).  A safety valve
     /// for benchmark timeouts; saturation is still sound when hit (the
@@ -102,16 +71,6 @@ struct SolverStats {
     bool truncated = false;
     bool early_terminated = false;
     bool bucket_worklist = false; ///< the bucket queue was used for this run
-
-    // Parallel saturation (threads_used > 1 only when the sharded loop ran).
-    std::size_t threads_used = 1;
-    std::size_t rounds = 0;   ///< level-synchronous key rounds executed
-    std::size_t handoffs = 0; ///< staged tuples routed to a different shard
-    std::vector<std::size_t> shard_pops; ///< per-shard finalized items
-    /// max/mean of shard_pops (1.0 = perfectly balanced, threads = one shard
-    /// did all the work); 0 when the sharded loop did not run or popped
-    /// nothing.  The measurable target for work-stealing (ROADMAP item 1a).
-    double shard_imbalance = 0.0;
 };
 
 /// Saturate `aut` (which initially accepts the source configurations C)
@@ -138,9 +97,9 @@ struct AcceptedConfig {
 
 /// Find the minimum-weight accepted configuration whose control state is in
 /// `starts` and whose stack is in L(stack_nfa) (ε-free NFA over symbols
-/// < domain).  Dijkstra over the product automaton; when every automaton
-/// weight is scalar and the product is small enough, the node table is a
-/// flat array in `workspace->search` (or a call-local arena).
+/// < domain).  Dijkstra over the product automaton, interning only the
+/// product nodes it reaches.  `workspace` is accepted for call-site symmetry
+/// with post_star/pre_star and is not used: the search allocates per call.
 [[nodiscard]] std::optional<AcceptedConfig> find_accepted(const PAutomaton& aut,
                                                           std::span<const StateId> starts,
                                                           const nfa::Nfa& stack_nfa,

@@ -23,11 +23,6 @@ namespace aalwines::server {
 /// sequence number, so re-loading a network never resurrects stale results;
 /// `generation` is its delta generation, so a PATCH retires every result
 /// computed against the pre-patch snapshot even if eviction lags.
-/// solverThreads is deliberately NOT part of the key: answers and minimal
-/// weights are thread-count independent, and weighted-engine witnesses are
-/// canonical (PAutomaton::canonical_tiebreaks), so equivalent queries hit the
-/// same entry across thread settings.  A cached dual-engine result returns
-/// whichever valid witness the first computation produced.
 [[nodiscard]] std::string cache_key(std::uint64_t sequence, std::uint64_t generation,
                                     const std::string& query_text,
                                     const std::string& engine, const std::string& weight,

@@ -82,6 +82,23 @@ bool bool_field(const json::Object& object, const std::string& key, bool fallbac
     return value->as_bool();
 }
 
+/// The verify options a query or sweep request body carries (docs/SERVER.md);
+/// absent fields keep the CLI defaults.
+cli::VerifySpec spec_from_request(const json::Object& object) {
+    cli::VerifySpec spec;
+    spec.engine = string_field(object, "engine");
+    if (spec.engine.empty()) spec.engine = "dual";
+    spec.weight = string_field(object, "weight");
+    spec.reduction =
+        static_cast<int>(size_field(object, "reduction", static_cast<std::size_t>(2)));
+    spec.trace = bool_field(object, "trace", true);
+    spec.witnesses = size_field(object, "witnesses", 1);
+    spec.max_iterations = size_field(object, "maxIterations", 0);
+    spec.translation = string_field(object, "translation");
+    if (spec.translation.empty()) spec.translation = "auto";
+    return spec;
+}
+
 } // namespace
 
 http::Response error_response(int status, const std::string& message) {
@@ -322,18 +339,7 @@ http::Response Service::handle_query(const http::Request& request,
         texts.push_back(text);
     }
 
-    cli::VerifySpec spec;
-    spec.engine = string_field(object, "engine");
-    if (spec.engine.empty()) spec.engine = "dual";
-    spec.weight = string_field(object, "weight");
-    spec.reduction =
-        static_cast<int>(size_field(object, "reduction", static_cast<std::size_t>(2)));
-    spec.trace = bool_field(object, "trace", true);
-    spec.witnesses = size_field(object, "witnesses", 1);
-    spec.max_iterations = size_field(object, "maxIterations", 0);
-    spec.translation = string_field(object, "translation");
-    if (spec.translation.empty()) spec.translation = "auto";
-    spec.solver_threads = string_field(object, "solverThreads");
+    const auto spec = spec_from_request(object);
     const bool stats = bool_field(object, "stats", false);
     auto jobs = size_field(object, "jobs", 1);
     const auto max_jobs = _config.max_jobs != 0
@@ -507,18 +513,7 @@ http::Response Service::handle_sweep(const http::Request& request,
         cli::append_single_failure_scenarios(sweep_spec, *workspace.network,
                                              size_field(object, "singleFailures", 0));
 
-    cli::VerifySpec spec;
-    spec.engine = string_field(object, "engine");
-    if (spec.engine.empty()) spec.engine = "dual";
-    spec.weight = string_field(object, "weight");
-    spec.reduction =
-        static_cast<int>(size_field(object, "reduction", static_cast<std::size_t>(2)));
-    spec.trace = bool_field(object, "trace", true);
-    spec.witnesses = size_field(object, "witnesses", 1);
-    spec.max_iterations = size_field(object, "maxIterations", 0);
-    spec.translation = string_field(object, "translation");
-    if (spec.translation.empty()) spec.translation = "auto";
-    spec.solver_threads = string_field(object, "solverThreads");
+    const auto spec = spec_from_request(object);
     const bool stats = bool_field(object, "stats", false);
     auto jobs = size_field(object, "jobs", 0); // 0 = one worker per chain, capped
     const auto max_jobs = _config.max_jobs != 0

@@ -38,9 +38,6 @@ std::string_view name_of(Counter counter) {
         case Counter::delta_tier2_resaturations: return "delta_tier2_resaturations";
         case Counter::delta_cold_rebuilds: return "delta_cold_rebuilds";
         case Counter::delta_states_invalidated: return "delta_states_invalidated";
-        case Counter::solver_parallel_pops: return "solver_parallel_pops";
-        case Counter::solver_handoff_tuples: return "solver_handoff_tuples";
-        case Counter::solver_parallel_rounds: return "solver_parallel_rounds";
         case Counter::count_: break;
     }
     return "?";
@@ -53,8 +50,6 @@ std::string_view name_of(Gauge gauge) {
         case Gauge::worklist_high_water: return "worklist_high_water";
         case Gauge::server_queue_high_water: return "server_queue_high_water";
         case Gauge::cache_entries_high_water: return "cache_entries_high_water";
-        case Gauge::solver_threads_high_water: return "solver_threads_high_water";
-        case Gauge::shard_imbalance_pct_high_water: return "shard_imbalance_pct_high_water";
         case Gauge::count_: break;
     }
     return "?";
@@ -74,7 +69,6 @@ std::string_view name_of(Histogram histogram) {
         case Histogram::cache_lookup: return "cache_lookup";
         case Histogram::materialized_rule_pct: return "materialized_rule_pct";
         case Histogram::patch_apply: return "patch_apply";
-        case Histogram::saturation_frontier: return "saturation_frontier";
         case Histogram::count_: break;
     }
     return "?";
@@ -108,8 +102,6 @@ const HistogramInfo& info_of(Histogram histogram) {
          k_pct, "Fraction of eager-translation rules materialized by lazy saturation."},
         {"aalwines_patch_apply_seconds", "",
          k_ns, "PATCH delta application latency (network copy + overlay + rebase)."},
-        {"aalwines_saturation_frontier_items", "",
-         1.0, "Items drained per round by the sharded parallel saturation solver."},
     }};
     return infos[static_cast<std::size_t>(histogram)];
 }

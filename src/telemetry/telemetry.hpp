@@ -64,9 +64,6 @@ enum class Counter : std::uint32_t {
     delta_tier2_resaturations, ///< patched re-verifies answered by frontier re-saturation
     delta_cold_rebuilds,    ///< patched re-verifies that fell back to a cold recompile
     delta_states_invalidated, ///< control states un-materialized by delta rebasing
-    solver_parallel_pops,   ///< items finalized by the sharded parallel solver
-    solver_handoff_tuples,  ///< staged tuples routed to a different owner shard
-    solver_parallel_rounds, ///< level-synchronous rounds of the parallel solver
     count_,
 };
 inline constexpr std::size_t k_counter_count = static_cast<std::size_t>(Counter::count_);
@@ -78,8 +75,6 @@ enum class Gauge : std::uint32_t {
     worklist_high_water,   ///< peak saturation worklist length
     server_queue_high_water, ///< peak pending-connection queue depth (daemon)
     cache_entries_high_water, ///< peak compiled-query cache residency (entries)
-    solver_threads_high_water, ///< widest saturation thread count used
-    shard_imbalance_pct_high_water, ///< worst max/mean per-shard pop ratio × 100
     count_,
 };
 inline constexpr std::size_t k_gauge_count = static_cast<std::size_t>(Gauge::count_);
@@ -102,7 +97,6 @@ enum class Histogram : std::uint32_t {
     cache_lookup,            ///< compiled-query cache probe (ns)
     materialized_rule_pct,   ///< lazy translation: % of eager rules materialized (0-100)
     patch_apply,             ///< PATCH delta application (copy + overlay + rebase) (ns)
-    saturation_frontier,     ///< parallel solver: items drained per round (count)
     count_,
 };
 inline constexpr std::size_t k_histogram_count = static_cast<std::size_t>(Histogram::count_);

@@ -17,10 +17,6 @@ void absorb_solver_stats(PhaseStats& phase, const pda::SolverStats& solver) {
     phase.worklist_relaxations = solver.relaxations;
     phase.peak_worklist = solver.peak_queue;
     phase.truncated = solver.truncated;
-    phase.solver_threads = solver.threads_used;
-    phase.parallel_rounds = solver.rounds;
-    phase.parallel_handoffs = solver.handoffs;
-    phase.shard_imbalance = solver.shard_imbalance;
 }
 
 std::string_view to_string(Answer answer) {
@@ -106,16 +102,14 @@ PhaseOutcome run_post_star_phase(const Network& network, const query::Query& que
     auto automaton = translation.make_initial_automaton();
     // Weighted runs stop saturation strictly past the minimal weight level,
     // so every equal-weight minimal derivation is present in any run and the
-    // canonically smallest one can be kept — witnesses become thread-count
-    // and worklist-discipline independent (the server query cache relies on
-    // this to drop solverThreads from its key).
+    // canonically smallest one can be kept — witnesses become independent of
+    // discovery order (worklist discipline, rebased rule ids).
     if (options.engine == EngineKind::Weighted)
         automaton.set_canonical_tiebreaks(true);
     const auto domain = static_cast<pda::Symbol>(network.labels.size());
     pda::SolverOptions sopts;
     sopts.max_iterations = options.max_iterations;
     sopts.workspace = &workspace;
-    sopts.threads = options.solver_threads;
     if (options.max_witnesses <= 1) {
         // Demand-driven: stop saturating once a (minimal) witness is certain.
         // (Alternative-witness collection needs the fully saturated automaton.)

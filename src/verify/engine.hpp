@@ -73,20 +73,9 @@ struct VerifyOptions {
     /// When (and whether) network→PDA rules materialize — see
     /// use_lazy_translation for the Auto resolution.
     TranslationMode translation = TranslationMode::Auto;
-    /// Saturation worker threads, forwarded to pda::SolverOptions::threads:
-    /// 0 = read the AALWINES_SOLVER_THREADS environment override (default 1),
-    /// pda::k_solver_threads_auto = size from the hardware, otherwise an
-    /// explicit count.  Answers and minimal weights are thread-count
-    /// independent.  Weighted-engine witnesses are *fully* thread-count
-    /// independent too (canonical equal-weight tie-breaking, see
-    /// PAutomaton::canonical_tiebreaks; multi-witness enumeration order is
-    /// the documented exception); dual-engine equal-weight tie-breaks may
-    /// still differ across thread counts — their early-terminated saturation
-    /// frontier is itself thread-dependent.
-    std::size_t solver_threads = 0;
-    /// Optional caller-owned solver scratch memory reused across calls
-    /// (worklist buckets, search arenas, the parallel thread pool).  The
-    /// sweep engine pools one workspace per worker; nullptr = call-local.
+    /// Optional caller-owned solver scratch memory (the worklist arena)
+    /// reused across calls.  The sweep engine pools one workspace per
+    /// worker; nullptr = call-local.
     pda::SolverWorkspace* workspace = nullptr;
 };
 
@@ -127,15 +116,6 @@ struct PhaseStats {
     double witness_seconds = 0.0;   ///< witness unroll + alternatives
     bool ran = false;
     bool truncated = false;
-    // Parallel saturation (solver_threads > 1 when the sharded loop ran; the
-    // round/hand-off counters stay 0 on the sequential path).
-    std::size_t solver_threads = 1;
-    std::size_t parallel_rounds = 0;
-    std::size_t parallel_handoffs = 0;
-    /// max/mean per-shard pops of the sharded solver (1.0 = perfectly
-    /// balanced); 0 when the sequential path ran.  ROADMAP item 1a's
-    /// work-stealing target metric.
-    double shard_imbalance = 0.0;
 };
 
 /// Copy solver-side counters into a phase record (shared by every engine so

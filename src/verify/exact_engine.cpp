@@ -85,7 +85,6 @@ VerifyResult exact_verify(const Network& network, const query::Query& query,
         pda::SolverOptions sopts;
         sopts.max_iterations = options.max_iterations;
         sopts.workspace = &workspace;
-        sopts.threads = options.solver_threads;
         sopts.check_accepted = [&]() {
             const auto found =
                 pda::find_accepted(automaton, translation.accepting_states(),

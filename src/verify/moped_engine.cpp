@@ -68,7 +68,6 @@ MopedPhaseOutcome run_pre_star_phase(const Network& network, const query::Query&
     pda::SolverOptions solver_options;
     solver_options.max_iterations = options.max_iterations;
     solver_options.workspace = &workspace;
-    solver_options.threads = options.solver_threads;
     const auto sat_stats = pda::pre_star(automaton, solver_options);
     absorb_solver_stats(outcome.stats, sat_stats);
     outcome.truncated = sat_stats.truncated;

@@ -184,8 +184,7 @@ SweepResult run_sweep(const Network& network, const SweepSpec& spec,
     auto worker = [&]() {
         AALWINES_SPAN("sweep_worker");
         // Workspace tier: one solver workspace per worker, reused by every
-        // cell the worker runs (worklist buckets, search arenas, the
-        // parallel solver's thread pool).
+        // cell the worker runs (the worklist arena).
         pda::SolverWorkspace workspace;
         VerifyOptions cell_options = options;
         cell_options.workspace = &workspace;

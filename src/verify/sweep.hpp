@@ -26,8 +26,8 @@
 //                  cold run on the scenario network either way.
 //   Workspace tier Each worker owns one pda::SolverWorkspace reused across
 //                  all its cells (VerifyOptions::workspace), so worklist
-//                  buckets, search arenas and the parallel solver's thread
-//                  pool are allocated once per worker, not once per cell.
+//                  buckets are allocated once per worker, not once per
+//                  cell.
 //
 // Chains — one per (pair, k) — distribute over a `jobs`-sized worker pool;
 // within a chain, scenarios run in spec order so each cell can reuse its

@@ -216,7 +216,7 @@ TEST_P(PdaRandom, BucketAndHeapWorklistsAgree) {
 
     for (const bool pre : {false, true}) {
         auto [heap_aut, heap_stats] = saturate(Worklist::Heap, pre);
-        auto [bucket_aut, bucket_stats] = saturate(Worklist::Bucket, pre);
+        auto [bucket_aut, bucket_stats] = saturate(Worklist::Auto, pre); // scalar: bucket
         EXPECT_FALSE(heap_stats.bucket_worklist);
         EXPECT_TRUE(bucket_stats.bucket_worklist) << "seed " << GetParam();
         EXPECT_EQ(heap_stats.iterations, bucket_stats.iterations)

@@ -169,15 +169,14 @@ TEST(Sweep, MatchesOneByOneAcrossModesAndThreads) {
 
     const auto weights = parse_weight_expression("hops");
     for (const auto translation : {TranslationMode::Lazy, TranslationMode::Eager}) {
-        for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
             VerifyOptions options;
             options.engine = EngineKind::Weighted;
             options.weights = &weights;
             options.translation = translation;
-            options.solver_threads = threads;
-            const auto sweep = run_sweep(net.network, spec, options, 2);
+            const auto sweep = run_sweep(net.network, spec, options, jobs);
             SCOPED_TRACE("translation=" + std::string(to_string(translation)) +
-                         " threads=" + std::to_string(threads));
+                         " jobs=" + std::to_string(jobs));
             expect_equivalent(net.network, spec, sweep, options);
             // Eager translations cannot rebase: every cell saturates cold.
             if (translation == TranslationMode::Eager)
@@ -244,13 +243,12 @@ TEST(Sweep, NightlyBattery) {
     spec.scenarios = make_single_failure_scenarios(net.network, 4 * scale);
 
     for (const auto translation : {TranslationMode::Lazy, TranslationMode::Eager}) {
-        for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
             VerifyOptions options;
             options.translation = translation;
-            options.solver_threads = threads;
-            const auto sweep = run_sweep(net.network, spec, options, 4);
+            const auto sweep = run_sweep(net.network, spec, options, jobs);
             SCOPED_TRACE("translation=" + std::string(to_string(translation)) +
-                         " threads=" + std::to_string(threads));
+                         " jobs=" + std::to_string(jobs));
             expect_equivalent(net.network, spec, sweep, options);
         }
     }
