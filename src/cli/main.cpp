@@ -190,7 +190,8 @@ void print_explain(const verify::VerifyStats& stats) {
         const auto ms = [](double seconds) { return seconds * 1000.0; };
         std::cout << "  " << name << ": translate " << ms(phase.translate_seconds)
                   << "ms  reduce " << ms(phase.reduce_seconds) << "ms  saturate "
-                  << ms(phase.saturate_seconds) << "ms  accept "
+                  << ms(phase.saturate_seconds) << "ms (materialize "
+                  << ms(phase.materialize_seconds) << "ms)  accept "
                   << ms(phase.accept_seconds) << "ms  witness "
                   << ms(phase.witness_seconds) << "ms  (phase total "
                   << ms(phase.seconds) << "ms)\n";
@@ -199,7 +200,7 @@ void print_explain(const verify::VerifyStats& stats) {
         if (phase.lazy_translation && phase.pda_rules_total > 0)
             std::cout << " ("
                       << 100 * phase.pda_rules_materialized / phase.pda_rules_total
-                      << "%, lazy; materialization happens inside saturate)";
+                      << "%, lazy)";
         else if (!phase.lazy_translation)
             std::cout << " (eager)";
         std::cout << "\n";

@@ -46,6 +46,7 @@ json::Value phase_to_json(const verify::PhaseStats& phase) {
     object.emplace("translateSeconds", phase.translate_seconds);
     object.emplace("reduceSeconds", phase.reduce_seconds);
     object.emplace("saturateSeconds", phase.saturate_seconds);
+    object.emplace("materializeSeconds", phase.materialize_seconds); // part of saturate
     object.emplace("acceptSeconds", phase.accept_seconds);
     object.emplace("witnessSeconds", phase.witness_seconds);
     if (phase.truncated) object.emplace("truncated", true);

@@ -81,9 +81,9 @@ int PAutomaton::compare_provenance(const Provenance& a, const Provenance& b) con
     if (a.rule != b.rule) {
         if (a.rule == UINT32_MAX || b.rule == UINT32_MAX)
             return a.rule == UINT32_MAX ? -1 : 1;
-        if (const int c =
-                cmp_u64(_pda->rule_canonical_key(a.rule), _pda->rule_canonical_key(b.rule)))
-            return c;
+        const auto ka = _pda->rule_canonical_key(a.rule);
+        const auto kb = _pda->rule_canonical_key(b.rule);
+        if (ka != kb) return ka < kb ? -1 : 1;
     }
     // `a` is an ε id for PostCombine, a TransId everywhere else; `b` is
     // always a TransId (PostCombine's second component, PrePush's t2).

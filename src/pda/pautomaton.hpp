@@ -167,7 +167,8 @@ public:
     // functions of *content* instead:
     //   state   → its pre-saturation id (those are deterministic), or for a
     //             saturation-created mid-state its (owner, symbol) identity;
-    //   rule    → (from, per-state emission ordinal), see Pda::rule_canonical_key;
+    //   rule    → (from, precondition, match-list position), see
+    //             Pda::rule_canonical_key;
     //   trans/ε → the (canonical from, canonical to, label) triple.
     // When `canonical_tiebreaks()` is on, equal-weight provenance updates keep
     // the candidate with the smallest canonical key, making the reconstructed

@@ -1,6 +1,8 @@
 #include "pda/pda.hpp"
 
 #include <algorithm>
+#include <chrono>
+
 #include "telemetry/telemetry.hpp"
 #include "util/check.hpp"
 
@@ -17,41 +19,58 @@ void Pda::set_symbol_class(Symbol symbol, SymbolClass cls) {
     _class_sets[cls].reset();
 }
 
+namespace {
+/// Insert (key, list) keeping `lists` key-ascending, so set-labelled
+/// matching visits a state's lists in the same order whatever order lazy
+/// demand created them in (appending is the common, eager case).
+template <typename Key>
+void insert_sorted(std::vector<std::pair<Key, std::uint32_t>>& lists, Key key,
+                   std::uint32_t list) {
+    auto at = lists.end();
+    if (!lists.empty() && key < lists.back().first)
+        at = std::lower_bound(lists.begin(), lists.end(), key,
+                              [](const auto& entry, Key k) { return entry.first < k; });
+    lists.emplace(at, key, list);
+}
+} // namespace
+
 void Pda::index_rule(RuleId id) {
-    const auto& rule = _rules[id];
+    auto& rule = _rules[id];
     auto& match = _match_by_state[rule.from];
+    auto list = static_cast<std::uint32_t>(_rule_lists.size()); // if a new one is needed
     switch (rule.pre.kind) {
         case PreSpec::Kind::Concrete: {
             const auto key = concrete_key(rule.from, rule.pre.symbol);
-            const auto next = static_cast<std::uint32_t>(_rule_lists.size());
-            const auto [list, inserted] = _concrete_lists.try_emplace(key, next);
+            const auto [found, inserted] = _concrete_lists.try_emplace(key, list);
             if (inserted) {
                 _rule_lists.emplace_back();
-                match.concrete.emplace_back(rule.pre.symbol, list);
+                insert_sorted(match.concrete, rule.pre.symbol, list);
             }
-            _rule_lists[list].push_back(id);
+            list = found;
             break;
         }
         case PreSpec::Kind::Class: {
-            for (auto& [cls, list] : match.classes) {
-                if (cls != rule.pre.cls) continue;
-                _rule_lists[list].push_back(id);
-                return;
+            const auto it = std::find_if(match.classes.begin(), match.classes.end(),
+                                         [&](const auto& c) { return c.first == rule.pre.cls; });
+            if (it != match.classes.end()) {
+                list = it->second;
+            } else {
+                _rule_lists.emplace_back();
+                insert_sorted(match.classes, rule.pre.cls, list);
             }
-            const auto list = static_cast<std::uint32_t>(_rule_lists.size());
-            _rule_lists.emplace_back().push_back(id);
-            match.classes.emplace_back(rule.pre.cls, list);
             break;
         }
         case PreSpec::Kind::Any: {
             if (match.any_list == UINT32_MAX) {
-                match.any_list = static_cast<std::uint32_t>(_rule_lists.size());
+                match.any_list = list;
                 _rule_lists.emplace_back();
             }
-            _rule_lists[match.any_list].push_back(id);
+            list = match.any_list;
             break;
         }
     }
+    rule.ord = static_cast<std::uint32_t>(_rule_lists[list].size());
+    _rule_lists[list].push_back(id);
 }
 
 RuleId Pda::add_rule(Rule rule) {
@@ -76,9 +95,6 @@ RuleId Pda::add_rule(Rule rule) {
         id = static_cast<RuleId>(_rules.size());
     }
     ++_rules_added;
-    if (_next_rule_ord.size() <= rule.from)
-        _next_rule_ord.resize(state_count(), 0);
-    rule.ord = _next_rule_ord[rule.from]++;
     if (const auto scalar = rule.weight.as_scalar()) {
         _max_scalar_weight = std::max(_max_scalar_weight, *scalar);
     } else {
@@ -131,8 +147,8 @@ void Pda::set_rule_provider(RuleProvider* provider, bool weights_scalar_hint) {
     AALWINES_ASSERT(_provider == nullptr, "rule provider already attached");
     AALWINES_ASSERT(_rules.empty(), "the provider must be attached before any rule");
     _provider = provider;
-    _materialized.assign(state_count(), false);
-    _materialized_count = 0;
+    _coverage.assign(state_count(), Coverage::None);
+    _generation.assign(state_count(), 0);
     _all_weights_scalar = weights_scalar_hint;
     // The per-target index is filled incrementally by add_rule from now on.
     _swaps_into.assign(state_count(), {});
@@ -140,32 +156,64 @@ void Pda::set_rule_provider(RuleProvider* provider, bool weights_scalar_hint) {
     _target_index_ready = true;
 }
 
-void Pda::mark_materialized(StateId state) {
-    AALWINES_ASSERT(_provider != nullptr, "mark_materialized needs a rule provider");
-    if (_materialized[state]) return;
-    _materialized[state] = true;
-    ++_materialized_count;
-    telemetry::count(telemetry::Counter::pda_states_materialized);
+void Pda::cover(StateId state, Coverage coverage) {
+    auto& current = _coverage[state];
+    if (current >= coverage) return;
+    if (current == Coverage::None) {
+        ++_demanded_count;
+        telemetry::count(telemetry::Counter::pda_states_materialized);
+    }
+    if (coverage == Coverage::All) ++_complete_count;
+    current = coverage;
 }
 
-void Pda::materialize_state(StateId state) const {
-    // Logically const: filling the memoized rule cache for one state.
+void Pda::mark_materialized(StateId state) {
+    AALWINES_ASSERT(_provider != nullptr, "mark_materialized needs a rule provider");
+    cover(state, Coverage::All);
+}
+
+bool Pda::claim(StateId state, Symbol symbol) {
+    AALWINES_ASSERT(_provider != nullptr, "claims need a rule provider");
+    const auto generation = _generation[state];
+    const auto key = concrete_key(state, symbol);
+    const auto [stored, inserted] = _claims.try_emplace(key, generation);
+    if (!inserted) {
+        if (stored == generation) return false;
+        _claims.insert_or_assign(key, generation); // a claim voided by invalidate_states
+    }
+    cover(state, Coverage::Some);
+    return true;
+}
+
+void Pda::demand_symbol(StateId state, Symbol symbol) const {
+    // Logically const: filling the memoized rule cache for one slice.
     auto* self = const_cast<Pda*>(this); // NOLINT(cppcoreguidelines-pro-type-const-cast)
-    self->_materialized[state] = true;
-    ++self->_materialized_count;
+    if (self->claim(state, symbol)) request(state, {Demand::Kind::Concrete, symbol, nullptr});
+}
+
+void Pda::request(StateId state, const Demand& demand) const {
+    auto* self = const_cast<Pda*>(this); // NOLINT(cppcoreguidelines-pro-type-const-cast)
+    // A Set demand may match nothing yet still depends on the state's rule
+    // set; count the state as demanded either way.
+    self->cover(state, demand.kind == Demand::Kind::All ? Coverage::All : Coverage::Some);
     // _rules_added, not _rules.size(): add_rule may be filling reused slots.
     const auto before = _rules_added;
-    self->_provider->materialize_state(*self, state);
-    telemetry::count(telemetry::Counter::pda_states_materialized);
+    const auto start = std::chrono::steady_clock::now();
+    _provider->materialize(*self, state, demand);
+    self->_materialize_ns += static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count());
     telemetry::count(telemetry::Counter::pda_rules_materialized, _rules_added - before);
 }
 
 void Pda::materialize_all() const {
     if (_provider == nullptr) return;
-    // Chain interiors are filled (and marked) together with the control
-    // state that owns their chain, so iterating every state in id order
-    // leaves exactly the never-demanded pool states as no-ops.
-    for (StateId s = 0; s < state_count(); ++s) ensure_materialized(s);
+    // Chain interiors are completed together with the control state that
+    // owns their chain, so iterating every state in id order leaves exactly
+    // the never-demanded pool states as no-ops.
+    for (StateId s = 0; s < state_count(); ++s)
+        if (_coverage[s] != Coverage::All) request(s, {});
 }
 
 void Pda::build_target_index() const {
@@ -246,9 +294,9 @@ void Pda::invalidate_states(const std::vector<StateId>& heads,
         auto& match = _match_by_state[dropped[i]];
         // Empty the lists in place: the list slots, the StateMatch entries,
         // and the (state, symbol) keys in _concrete_lists all survive, so a
-        // provider re-emitting the identical per-state sequence lands in the
-        // same lists in the same order (with _next_rule_ord reset below this
-        // reproduces Rule::ord — the canonical-tie-break contract).
+        // provider re-emitting the identical slices lands in the same lists
+        // at the same positions — Rule::ord is reproduced, the canonical-
+        // tie-break contract.
         const auto drain = [&](std::uint32_t list) {
             for (const auto id : _rule_lists[list]) {
                 const auto& rule = _rules[id];
@@ -263,13 +311,14 @@ void Pda::invalidate_states(const std::vector<StateId>& heads,
         if (match.any_list != UINT32_MAX) drain(match.any_list);
     }
     std::size_t cleared = 0;
-    for (const auto s : dropped)
-        if (_materialized[s]) {
-            _materialized[s] = false;
-            --_materialized_count;
-            ++cleared;
-            if (s < _next_rule_ord.size()) _next_rule_ord[s] = 0;
-        }
+    for (const auto s : dropped) {
+        ++_generation[s]; // voids every claim of the state at once
+        if (_coverage[s] == Coverage::None) continue;
+        if (_coverage[s] == Coverage::All) --_complete_count;
+        --_demanded_count;
+        _coverage[s] = Coverage::None;
+        ++cleared;
+    }
     // Tombstone the dead slots for reuse, then strip them from the touched
     // per-target lists — one order-preserving pass per distinct target.  The
     // scalar flag stays the provider's declared hint and _max_scalar_weight

@@ -65,23 +65,58 @@ struct Rule {
     Symbol label2 = k_no_symbol; ///< Push: symbol below top (or k_same_symbol)
     Weight weight = Weight::one();
     std::uint32_t tag = UINT32_MAX; ///< caller-defined; UINT32_MAX = internal
-    /// Ordinal of this rule among the rules emitted from `from`, assigned by
-    /// add_rule (caller-supplied values are overwritten).  Per-state emission
-    /// sequences are canonical — identical across eager builds, lazy
-    /// materialization order, and rebase re-materialization — so
-    /// (from, ord) is a stable rule identity where the global RuleId is not
-    /// (lazy materialization permutes id blocks between runs).  The solver's
-    /// canonical witness tie-breaking keys on it.
+    /// Position of this rule in its (from, precondition) match list,
+    /// assigned when the rule is indexed (caller-supplied values are
+    /// overwritten).  A provider emits each (state, symbol) slice in one
+    /// go and in a fixed order, so the position is the same in an eager
+    /// build, under any lazy demand order, and after rebase
+    /// re-materialization — (from, precondition, ord) is a stable rule
+    /// identity where the global RuleId is not (lazy materialization
+    /// permutes id blocks between runs).  The solver's canonical witness
+    /// tie-breaking keys on it.
     std::uint32_t ord = 0;
+};
+
+/// Run-independent rule identity, ordered (from, precondition, ord); see
+/// Pda::rule_canonical_key.
+struct RuleKey {
+    StateId from = 0;
+    std::uint64_t pre = 0; ///< PreSpec kind in the high word, symbol/class below
+    std::uint32_t ord = 0;
+    auto operator<=>(const RuleKey&) const = default;
 };
 
 class Pda;
 
+/// One materialization request: the rules from a state that fire on one
+/// top symbol, on some symbol of a set, or on any symbol ("all labels").
+struct Demand {
+    enum class Kind : std::uint8_t { Concrete, Set, All };
+    Kind kind = Kind::All;
+    Symbol symbol = k_no_symbol;         ///< Kind::Concrete
+    const nfa::SymbolSet* set = nullptr; ///< Kind::Set; borrowed for the call
+};
+
 /// Demand-driven rule source (the lazy network→PDA translation).  A PDA with
-/// a provider attached starts rule-less; the first time saturation asks for a
-/// state's outgoing rules (`for_each_applicable`) the provider is invoked to
-/// emit exactly that state's rules via `Pda::add_rule`.  Contract:
-///   - every state is materialized at most once (the PDA tracks a bitmap);
+/// a provider attached starts rule-less; `for_each_applicable` asks the
+/// provider for the slice of a state's rules that the popped transition's
+/// top symbol (or symbol set) can fire, and the provider emits it via
+/// `Pda::add_rule`.  `materialize_all` issues the "all labels" demand per
+/// state.  Contract:
+///   - a Concrete demand arrives already claimed: the PDA records every
+///     (state, symbol) it asks for — including symbols no rule matches —
+///     and asks at most once per pair until `invalidate_states` re-arms
+///     the state;
+///   - Set and All demands may overlap earlier demands: the provider emits
+///     only what it has not emitted yet, recording each symbol it emits
+///     for a Set demand with `Pda::claim` and skipping `Pda::claimed`
+///     symbols on an All demand (after which the state is complete);
+///   - a symbol's slice is emitted in one go, in a fixed order, so every
+///     match list (and hence Rule::ord) is independent of demand order.
+///     A rule with a class or any precondition spans many symbols; a
+///     provider that emits one from a lazily demanded state must track it
+///     so it is emitted once (the translation emits those only from chain
+///     interiors, which are complete from the start);
 ///   - the provider may fill *other* states as a side effect (an op chain's
 ///     interior states are emitted together with the chain) and must mark
 ///     them with `Pda::mark_materialized` so they are not asked again;
@@ -91,8 +126,8 @@ class Pda;
 class RuleProvider {
 public:
     virtual ~RuleProvider() = default;
-    /// Emit every rule whose from-state is `state` (pda.add_rule).
-    virtual void materialize_state(Pda& pda, StateId state) = 0;
+    /// Emit the not-yet-emitted rules from `state` that `demand` covers.
+    virtual void materialize(Pda& pda, StateId state, const Demand& demand) = 0;
 };
 
 class Pda {
@@ -105,7 +140,8 @@ public:
         if (_provider != nullptr) {
             // Keep the lazy bookkeeping in step (only legal while no rule
             // references the new state yet — see RuleProvider contract).
-            _materialized.push_back(false);
+            _coverage.push_back(Coverage::None);
+            _generation.push_back(0);
             _swaps_into.emplace_back();
             _pushes_into.emplace_back();
         }
@@ -142,12 +178,17 @@ public:
     /// Raw slot array — includes stale data in dead slots (see rule_dead).
     [[nodiscard]] const std::vector<Rule>& rules() const noexcept { return _rules; }
 
-    /// Run-independent rule identity: (from state, per-state emission
-    /// ordinal) packed into one sortable 64-bit key.  Equal-weight witness
-    /// tie-breaks prefer the smallest key (see pautomaton.hpp).
-    [[nodiscard]] std::uint64_t rule_canonical_key(RuleId id) const {
+    /// Run-independent rule identity: (from state, precondition, position
+    /// in the match list).  Equal-weight witness tie-breaks prefer the
+    /// smallest key (see pautomaton.hpp).  A translation's control states
+    /// match concrete labels only and emit label-ascending, so the order
+    /// among one state's rules is their eager emission order.
+    [[nodiscard]] RuleKey rule_canonical_key(RuleId id) const {
         const Rule& r = _rules[id];
-        return (static_cast<std::uint64_t>(r.from) << 32) | r.ord;
+        std::uint64_t operand = 0;
+        if (r.pre.kind == PreSpec::Kind::Concrete) operand = r.pre.symbol;
+        if (r.pre.kind == PreSpec::Kind::Class) operand = r.pre.cls;
+        return {r.from, (static_cast<std::uint64_t>(r.pre.kind) << 32) | operand, r.ord};
     }
 
     [[nodiscard]] SymbolClass class_of(Symbol symbol) const {
@@ -177,23 +218,25 @@ public:
     /// Un-materialize states of a lazy PDA: drop every rule leaving a state
     /// in `heads` — following chains, i.e. also dropping the rules of any
     /// state reached through a rule target for which `owned(target)` holds —
-    /// and clear the materialized flags so the provider is asked again on
-    /// next demand.  Cost is O(dropped rules), not O(all rules): dropped
-    /// slots are tombstoned onto a free list (add_rule reuses them), their
-    /// match lists are emptied in place (list slots and (state, symbol) keys
-    /// survive, so re-emission lands in the same lists in the same order),
-    /// and per-state ordinal counters restart — a provider that re-emits
-    /// identical per-state rule sequences therefore reproduces the original
-    /// Rule::ord values, which is what keeps incremental re-verification
-    /// byte-identical to a cold run.  Surviving rule ids are NOT renumbered.
+    /// and re-arm their demands: each dropped state's generation advances,
+    /// which voids all its (state, symbol) claims at once, so the provider
+    /// is asked again on next demand.  Cost is O(dropped rules), not O(all
+    /// rules): dropped slots are tombstoned onto a free list (add_rule
+    /// reuses them) and their match lists are emptied in place (list slots
+    /// and (state, symbol) keys survive, so re-emission lands in the same
+    /// lists at the same positions) — a provider that re-emits identical
+    /// slices therefore reproduces the original Rule::ord values, which is
+    /// what keeps incremental re-verification byte-identical to a cold run.
+    /// Surviving rule ids are NOT renumbered.
     /// The scalar-weight hint declared at set_rule_provider is retained.
     /// The delta subsystem's frontier re-saturation is the only caller.
     void invalidate_states(const std::vector<StateId>& heads,
                            const std::function<bool(StateId)>& owned);
 
-    /// Whether `state`'s outgoing rules exist (always true when eager).
-    [[nodiscard]] bool is_materialized(StateId state) const {
-        return _provider == nullptr || _materialized[state];
+    /// Whether any of `state`'s rules were demanded — some may exist, and
+    /// a change to them can change a saturation (always true when eager).
+    [[nodiscard]] bool is_demanded(StateId state) const {
+        return _provider == nullptr || _coverage[state] != Coverage::None;
     }
 
     /// Swap rules p γ → q γ' with q == `target`; built once per PDA (lazily,
@@ -228,58 +271,90 @@ public:
     [[nodiscard]] Pda expand_concrete() const;
 
     /// Attach a demand-driven rule source and switch the PDA to lazy mode:
-    /// `for_each_applicable` materializes a state's rules on first use, and
-    /// the per-target swap/push index is filled incrementally as rules
-    /// arrive (so it is never rebuilt by a whole-PDA scan).  Must be called
-    /// after every state exists and before any rule.  `weights_scalar_hint`
-    /// pre-seeds `all_weights_scalar()` — the bucketed-worklist decision is
-    /// made before any rule has materialized, so the provider must declare
-    /// whether every rule it will ever emit carries a scalar weight.
+    /// `for_each_applicable` materializes the (state, top symbol) slices it
+    /// reads on first use, and the per-target swap/push index is filled
+    /// incrementally as rules arrive (so it is never rebuilt by a whole-PDA
+    /// scan).  Must be called after every state exists and before any rule.
+    /// `weights_scalar_hint` pre-seeds `all_weights_scalar()` — the
+    /// bucketed-worklist decision is made before any rule has materialized,
+    /// so the provider must declare whether every rule it will ever emit
+    /// carries a scalar weight.
     void set_rule_provider(RuleProvider* provider, bool weights_scalar_hint = true);
 
     [[nodiscard]] bool lazy() const noexcept { return _provider != nullptr; }
 
-    /// Mark `state` materialized without invoking the provider — for states
-    /// a provider fills as a side effect of another state's materialization
+    /// Mark `state` complete without invoking the provider — for states a
+    /// provider fills as a side effect of another state's materialization
     /// (chain interiors).
     void mark_materialized(StateId state);
 
-    /// Demand every remaining state's rules (no-op without a provider).
-    /// Logically const: materialization is memoized evaluation of the fixed
-    /// rule set the provider denotes.  pre* and whole-PDA passes
-    /// (expand_concrete, reduction, serialization) need this eager fallback.
+    /// Provider bookkeeping for Set demands: record that `symbol`'s slice of
+    /// `state` is being emitted.  False when it already was (this
+    /// generation), in which case the provider must not emit it again.
+    bool claim(StateId state, Symbol symbol);
+    /// Whether `symbol`'s slice of `state` was claimed this generation.
+    [[nodiscard]] bool claimed(StateId state, Symbol symbol) const {
+        return _claims.find(concrete_key(state, symbol)) == _generation[state];
+    }
+
+    /// Issue the "all labels" demand for every state not yet complete
+    /// (no-op without a provider).  Logically const: materialization is
+    /// memoized evaluation of the fixed rule set the provider denotes.  pre*
+    /// and whole-PDA passes (expand_concrete, reduction, serialization) need
+    /// this eager fallback.
     void materialize_all() const;
 
-    /// States whose outgoing rules exist (== state_count() when eager).
+    /// States with at least one demand (== state_count() when eager).
     [[nodiscard]] std::size_t materialized_state_count() const noexcept {
-        return _provider != nullptr ? _materialized_count : state_count();
+        return _provider != nullptr ? _demanded_count : state_count();
     }
+    /// Every state complete: the whole rule set exists.
     [[nodiscard]] bool fully_materialized() const noexcept {
-        return materialized_state_count() == state_count();
+        return _provider == nullptr || _complete_count == state_count();
+    }
+
+    /// Wall-clock seconds spent inside the provider so far (0 when eager);
+    /// callers difference it around a saturation.
+    [[nodiscard]] double materialize_seconds() const noexcept {
+        return static_cast<double>(_materialize_ns) * 1e-9;
     }
 
 private:
     /// Per-state view of the match index.  Point lookups go through the flat
     /// interned-key table `_concrete_lists` (one probe for (state, symbol));
     /// the vectors here only exist so set-labelled matching can enumerate a
-    /// state's distinct symbols/classes without hash-map iteration.
+    /// state's distinct symbols/classes without hash-map iteration.  They
+    /// are key-ascending, so that order does not depend on demand order.
     struct StateMatch {
         std::vector<std::pair<Symbol, std::uint32_t>> concrete; ///< (symbol, list id)
         std::vector<std::pair<SymbolClass, std::uint32_t>> classes;
         std::uint32_t any_list = UINT32_MAX;
     };
 
+    /// How much of a lazy state's rule set has been demanded.
+    enum class Coverage : std::uint8_t { None, Some, All };
+
     [[nodiscard]] static std::uint64_t concrete_key(StateId state, Symbol symbol) noexcept {
         return (static_cast<std::uint64_t>(state) << 32) | symbol;
     }
     void index_rule(RuleId id);
 
-    /// Lazy-mode fast path: materialize `state`'s rules on first demand.
-    /// Must run before any read of the state's match index.
-    void ensure_materialized(StateId state) const {
-        if (_provider != nullptr && !_materialized[state]) materialize_state(state);
+    /// Lazy-mode fast paths: materialize the slice of `state` a popped
+    /// transition reads on first demand.  Must run before any read of the
+    /// state's match index.
+    void demand(StateId state, Symbol symbol) const {
+        if (_provider != nullptr && _coverage[state] != Coverage::All)
+            demand_symbol(state, symbol);
     }
-    void materialize_state(StateId state) const; ///< slow path of the above
+    void demand(StateId state, const nfa::SymbolSet& symbols) const {
+        if (_provider != nullptr && _coverage[state] != Coverage::All)
+            request(state, {Demand::Kind::Set, k_no_symbol, &symbols});
+    }
+    void demand_symbol(StateId state, Symbol symbol) const; ///< slow path
+    /// Raise `state`'s coverage (never lowers it) and keep the counts.
+    void cover(StateId state, Coverage coverage);
+    /// Hand one demand to the provider (timed, counted).
+    void request(StateId state, const Demand& demand) const;
 
     Symbol _alphabet_size;
     std::vector<Rule> _rules;
@@ -297,16 +372,20 @@ private:
     mutable std::vector<std::vector<RuleId>> _swaps_into;
     mutable std::vector<std::vector<RuleId>> _pushes_into;
     RuleProvider* _provider = nullptr;
-    mutable std::vector<bool> _materialized; ///< per state, lazy mode only
-    mutable std::size_t _materialized_count = 0;
-    /// Next Rule::ord per from-state (grown on demand by add_rule; reset per
-    /// state by invalidate_states so re-materialization reproduces ordinals).
-    std::vector<std::uint32_t> _next_rule_ord;
+    // Lazy mode only, per state unless noted.
+    std::vector<Coverage> _coverage;
+    /// Bumped by invalidate_states; a claim counts only at its state's
+    /// current generation, so re-arming a state is O(1).
+    std::vector<std::uint32_t> _generation;
+    util::FlatMap64 _claims; ///< (state, symbol) → generation of the claim
+    std::size_t _demanded_count = 0; ///< states with coverage != None
+    std::size_t _complete_count = 0; ///< states with coverage == All
+    std::uint64_t _materialize_ns = 0; ///< time inside the provider
 };
 
 template <typename Fn>
 void Pda::for_each_applicable(StateId state, Symbol symbol, Fn&& fn) const {
-    ensure_materialized(state);
+    demand(state, symbol);
     const auto& match = _match_by_state[state];
     const bool has_class_rules = !match.classes.empty() && class_of(symbol) != k_no_class;
     const auto concrete_list = _concrete_lists.find(concrete_key(state, symbol));
@@ -328,7 +407,7 @@ void Pda::for_each_applicable(StateId state, Symbol symbol, Fn&& fn) const {
 
 template <typename Fn>
 void Pda::for_each_applicable(StateId state, const nfa::SymbolSet& label, Fn&& fn) const {
-    ensure_materialized(state);
+    demand(state, label);
     const auto& match = _match_by_state[state];
     using Mode = nfa::SymbolSet::Mode;
     // Concrete-pre rules.

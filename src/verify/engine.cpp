@@ -99,6 +99,7 @@ PhaseOutcome run_post_star_phase(const Network& network, const query::Query& que
                                     outcome.stats.reduce_seconds);
 
     const auto saturate_start = Clock::now();
+    const auto materialized_before = translation.pda().materialize_seconds();
     auto automaton = translation.make_initial_automaton();
     // Weighted runs stop saturation strictly past the minimal weight level,
     // so every equal-weight minimal derivation is present in any run and the
@@ -124,6 +125,8 @@ PhaseOutcome run_post_star_phase(const Network& network, const query::Query& que
     absorb_solver_stats(outcome.stats, sat_stats);
     outcome.truncated = sat_stats.truncated;
     outcome.stats.saturate_seconds = seconds_since(saturate_start);
+    outcome.stats.materialize_seconds =
+        translation.pda().materialize_seconds() - materialized_before;
     telemetry::observe_duration(telemetry::Histogram::query_saturate,
                                 outcome.stats.saturate_seconds);
 

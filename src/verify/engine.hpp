@@ -108,12 +108,15 @@ struct PhaseStats {
     /// Wall-clock split of `seconds` by pipeline stage (dual/weighted
     /// engines; 0 elsewhere).  With a lazy translation, rule
     /// materialization happens on demand inside the saturation stage, so
-    /// `translate_seconds` covers only the symbolic setup.
-    double translate_seconds = 0.0; ///< network->PDA translation setup
-    double reduce_seconds = 0.0;    ///< top-of-stack reduction
-    double saturate_seconds = 0.0;  ///< initial automaton + post* saturation
-    double accept_seconds = 0.0;    ///< acceptance search (find_accepted)
-    double witness_seconds = 0.0;   ///< witness unroll + alternatives
+    /// `translate_seconds` covers only the symbolic setup and
+    /// `materialize_seconds` (time inside the rule provider) is a part of
+    /// `saturate_seconds`, not an addend.
+    double translate_seconds = 0.0;   ///< network->PDA translation setup
+    double reduce_seconds = 0.0;      ///< top-of-stack reduction
+    double saturate_seconds = 0.0;    ///< initial automaton + post* saturation
+    double materialize_seconds = 0.0; ///< lazy rule emission within saturate
+    double accept_seconds = 0.0;      ///< acceptance search (find_accepted)
+    double witness_seconds = 0.0;     ///< witness unroll + alternatives
     bool ran = false;
     bool truncated = false;
 };

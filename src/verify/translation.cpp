@@ -525,13 +525,32 @@ void Translation::add_entry_rules(LinkId in_link, Label label, const RoutingEntr
     });
 }
 
-void Translation::materialize_state(pda::Pda& pda, pda::StateId state) {
+void Translation::materialize(pda::Pda& pda, pda::StateId state, const pda::Demand& demand) {
     AALWINES_ASSERT(&pda == _pda.get(), "provider bound to a different PDA");
-    (void)pda;
     const auto& info = _control_info[state];
     if (info.chain) return; // interiors were emitted with their owning chain
-    for (const auto& [label, entry] : _entries_by_link[info.link])
-        add_entry_rules(info.link, label, *entry, info.nfa_state, info.failures);
+    const auto& bucket = _entries_by_link[info.link];
+    const auto emit = [&](Label label, const RoutingEntry& entry) {
+        add_entry_rules(info.link, label, entry, info.nfa_state, info.failures);
+    };
+    switch (demand.kind) {
+        case pda::Demand::Kind::Concrete: {
+            // Claimed by the PDA already, even when no entry exists.
+            const auto it = std::lower_bound(
+                bucket.begin(), bucket.end(), demand.symbol,
+                [](const auto& entry, Label label) { return entry.first < label; });
+            if (it != bucket.end() && it->first == demand.symbol) emit(it->first, *it->second);
+            return;
+        }
+        case pda::Demand::Kind::Set:
+            for (const auto& [label, entry] : bucket)
+                if (demand.set->contains(label) && pda.claim(state, label)) emit(label, *entry);
+            return;
+        case pda::Demand::Kind::All:
+            for (const auto& [label, entry] : bucket)
+                if (!pda.claimed(state, label)) emit(label, *entry);
+            return;
+    }
 }
 
 void Translation::add_chain(pda::StateId from, Label top, const ForwardingRule& rule,
@@ -586,7 +605,7 @@ bool Translation::footprint_touches(const std::vector<bool>& dirty,
     const auto affected = affected_links(dirty, behavior_dirty);
     const auto n_control = _failure_slots * _nfa_b.size() * _network->topology.link_count();
     for (pda::StateId s = 0; s < n_control; ++s)
-        if (_pda->is_materialized(s) && affected[_control_info[s].link]) return true;
+        if (_pda->is_demanded(s) && affected[_control_info[s].link]) return true;
     return false;
 }
 
@@ -598,7 +617,7 @@ void Translation::add_to_footprint(LinkFootprint& fp) const {
     if (fp.initial.size() < n_links) fp.initial.resize(n_links, false);
     const auto n_control = _failure_slots * _nfa_b.size() * n_links;
     for (pda::StateId s = 0; s < n_control; ++s)
-        if (_pda->is_materialized(s)) fp.materialized[_control_info[s].link] = true;
+        if (_pda->is_demanded(s)) fp.materialized[_control_info[s].link] = true;
     // Only a materialized link's rules can be invalidated by an out-link
     // flip (the affected_links into-scan restricted to where it matters).
     for (LinkId l = 0; l < n_links; ++l) {
@@ -633,7 +652,7 @@ void Translation::rebase(const Network& network, const std::vector<bool>& dirty,
         _failure_slots * _nfa_b.size() * _network->topology.link_count();
     std::vector<pda::StateId> heads;
     for (pda::StateId s = 0; s < n_control; ++s)
-        if (_pda->is_materialized(s) && affected[_control_info[s].link])
+        if (_pda->is_demanded(s) && affected[_control_info[s].link])
             heads.push_back(s);
 
     _network = &network;

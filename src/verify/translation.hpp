@@ -50,7 +50,7 @@ struct CompiledNfas {
 /// those never edit routing entries, so the out-link relation recorded at
 /// snapshot time holds for every scenario of the same base network.
 struct LinkFootprint {
-    std::vector<bool> materialized; ///< link carries a materialized control state
+    std::vector<bool> materialized; ///< link carries a demanded control state
     std::vector<bool> out_links;    ///< out-link of some materialized link's rule
     std::vector<bool> initial;      ///< path-NFA start candidate links
 
@@ -81,13 +81,15 @@ struct TranslationOptions {
     const CompiledNfas* nfas = nullptr;
     /// Demand-driven rule materialization: construction emits *no* rules and
     /// registers the translation as the PDA's RuleProvider instead; a control
-    /// state's outgoing rules (TE-group expansion × path-NFA moves × failure
-    /// slots, including its op chains) are generated when post*/pre* first
-    /// pops a transition out of that state.  Chain-interior states are
-    /// pre-allocated from an exactly-sized pool (a rule-free counting pass
-    /// over the routing table), so the state space is fixed up front and the
-    /// P-automaton can share the id space safely.  reduce() becomes a no-op:
-    /// the demand filter subsumes the top-of-stack pass (see reduction.cpp).
+    /// state's rules for one top label — its slice of routing entry (link,
+    /// label): TE-group expansion × path-NFA moves × failure slots,
+    /// including the op chains — are generated when post* first pops a
+    /// transition out of that state reading that label (pre* demands all
+    /// labels up front).  Chain-interior states are pre-allocated from an
+    /// exactly-sized pool (a rule-free counting pass over the routing
+    /// table), so the state space is fixed up front and the P-automaton can
+    /// share the id space safely.  reduce() becomes a no-op: the demand
+    /// filter subsumes the top-of-stack pass (see reduction.cpp).
     bool lazy = false;
 };
 
@@ -149,9 +151,10 @@ public:
     void rebase(const Network& network, const std::vector<bool>& dirty,
                 const std::vector<bool>& behavior_dirty);
 
-    /// Whether any *materialized* control state would be invalidated by a
-    /// rebase over the bitmaps — false means the previous result provably
-    /// carries over (if the initial states don't touch the delta either).
+    /// Whether any *demanded* control state (see pda::Pda::is_demanded)
+    /// would be invalidated by a rebase over the bitmaps — false means the
+    /// previous result provably carries over (if the initial states don't
+    /// touch the delta either).
     [[nodiscard]] bool footprint_touches(const std::vector<bool>& dirty,
                                          const std::vector<bool>& behavior_dirty) const;
 
@@ -173,10 +176,12 @@ public:
     /// subset) for the demand savings.
     [[nodiscard]] std::size_t total_rules() const noexcept { return _total_rules; }
 
-    /// RuleProvider: emit every outgoing rule of one control state (chain
-    /// interiors ride along with their owning chain).  Invoked by the PDA on
-    /// first demand; not for direct use.
-    void materialize_state(pda::Pda& pda, pda::StateId state) override;
+    /// RuleProvider: emit one control state's slice of the entries the
+    /// demand names — one label (a binary search in the link's bucket, no
+    /// scan), the bucket entries in a label set, or every entry (chain
+    /// interiors ride along with their owning chain).  Invoked by the PDA
+    /// on demand; not for direct use.
+    void materialize(pda::Pda& pda, pda::StateId state, const pda::Demand& demand) override;
 
     /// P-automaton accepting the initial configurations
     /// {((e₁,q₁,0), h) : h ∈ L(a) ∩ H} — the post* source.
@@ -321,9 +326,10 @@ private:
 
     bool _lazy = false;
     std::size_t _total_rules = 0; ///< eager-equivalent rule count (pre-reduction)
-    /// Routing entries grouped by in-link (per-state materialization needs
-    /// "all entries of link e"; RoutingEntry pointers stay stable — the
-    /// routing table is const for the translation's lifetime).
+    /// Routing entries grouped by in-link, label-ascending (materialization
+    /// looks up "entry (e, label)" or scans "all entries of link e";
+    /// RoutingEntry pointers stay stable — the routing table is const for
+    /// the translation's lifetime).
     std::vector<std::vector<std::pair<Label, const RoutingEntry*>>> _entries_by_link;
     /// Inverse of the rule out-link relation: `_links_into[out]` lists the
     /// in-links holding a rule that forwards over `out` (sorted, deduped).

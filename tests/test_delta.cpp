@@ -382,6 +382,34 @@ TEST(Reverifier, LinkDownRoundTripRestoresTheAnswer) {
     EXPECT_EQ(canonical(*reverifier.network(), k_fig1_yes, after.result), before_bytes);
 }
 
+/// A demanded label with no routing entry is still a claim, and adding the
+/// entry must re-arm it.  `<s10 ip>` starts on e0, where v0 has no entry
+/// for 10: post* asks for that one label, gets no rules, and answers no.
+/// The add-rule creates entry (e0, 10); the warm re-verify must demand the
+/// label again and match a cold verification of the snapshot byte for byte.
+TEST(Reverifier, AddedEntryReArmsAnEmptyClaim) {
+    constexpr const char* query_text = "<s10 ip> [.#v0] .* [v3#.] <ip> 0";
+    Reverifier reverifier(std::make_shared<const Network>(synthesis::make_figure1_network()));
+    const cli::VerifySpec spec;
+    const auto before = reverifier.verify(query_text, spec);
+    ASSERT_EQ(before.path, VerifyPath::Cold);
+    EXPECT_EQ(before.result.answer, verify::Answer::No);
+
+    reverifier.apply(parse_delta(R"({"operations": [
+        {"op": "add-rule", "router": "v0", "from": "e0", "label": "10", "type": "smpls",
+         "to": "e2"}]})"));
+    const auto warm = reverifier.verify(query_text, spec);
+    EXPECT_EQ(warm.path, VerifyPath::Warm);
+    EXPECT_EQ(warm.result.answer, verify::Answer::Yes);
+    const auto snapshot = reverifier.network();
+    const auto query = query::parse_query(query_text, *snapshot);
+    WeightExpr weights;
+    const auto oracle =
+        verify::verify(*snapshot, query, cli::make_verify_options(spec, weights));
+    EXPECT_EQ(canonical(*snapshot, query_text, warm.result),
+              canonical(*snapshot, query_text, oracle));
+}
+
 // ---- delta ≡ cold-recompile equivalence batteries --------------------
 
 /// Run `iterations` random deltas (rule toggles, link flips, distance

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <queue>
 
 #include "pda_test_util.hpp"
@@ -246,19 +247,55 @@ TEST_P(PdaRandom, BucketAndHeapWorklistsAgree) {
     }
 }
 
-/// Replays an eagerly built PDA's rules one source state at a time — the
-/// minimal honest RuleProvider.
+/// Replays an eagerly built PDA's rules per demanded label — the minimal
+/// honest RuleProvider.  A class or any rule matches many labels, so the
+/// provider remembers what it emitted (as the contract requires).
 class ReplayProvider final : public RuleProvider {
 public:
-    explicit ReplayProvider(const Pda& source) : _source(&source) {}
-    void materialize_state(Pda& pda, StateId state) override {
-        for (const auto& rule : _source->rules())
-            if (rule.from == state) pda.add_rule(rule);
+    explicit ReplayProvider(const Pda& source)
+        : _source(&source), _emitted(source.rule_slot_count(), false) {}
+    void materialize(Pda& pda, StateId state, const Demand& demand) override {
+        for (RuleId id = 0; id < _source->rule_slot_count(); ++id) {
+            const auto& rule = _source->rule(id);
+            if (rule.from != state || _emitted[id] || !covers(demand, rule.pre)) continue;
+            _emitted[id] = true;
+            pda.add_rule(rule);
+        }
     }
 
 private:
+    [[nodiscard]] bool covers(const Demand& demand, const PreSpec& pre) const {
+        const auto matched = _source->pre_set(pre);
+        switch (demand.kind) {
+            case Demand::Kind::Concrete: return matched.contains(demand.symbol);
+            case Demand::Kind::Set:
+                return !nfa::SymbolSet::intersection(*demand.set, matched)
+                            .is_empty_in(_source->alphabet_size());
+            case Demand::Kind::All: return true;
+        }
+        return false;
+    }
+
     const Pda* _source;
+    std::vector<bool> _emitted;
 };
+
+/// The unit of demand is a (state, top symbol) pair: every rule a lazy PDA
+/// holds after post* matches a top symbol that some finalized transition
+/// out of its from-state read.
+void expect_rules_demanded_by_reads(const Pda& lazy, const PAutomaton& aut, int seed) {
+    for (RuleId id = 0; id < lazy.rule_slot_count(); ++id) {
+        const auto& rule = lazy.rule(id);
+        const auto matched = lazy.pre_set(rule.pre);
+        const auto& from = aut.transitions_from(rule.from);
+        const bool read = std::any_of(from.begin(), from.end(), [&](TransId tid) {
+            const auto& trans = aut.transition(tid);
+            return trans.finalized && trans.label.intersect(matched).has_value();
+        });
+        EXPECT_TRUE(read) << "seed " << seed << ": rule " << id << " from state "
+                          << rule.from << " was materialized without a read";
+    }
+}
 
 /// A rule-less twin of `source` that materializes through `provider`.
 Pda lazy_twin(const Pda& source, ReplayProvider& provider) {
@@ -300,6 +337,7 @@ TEST_P(PdaRandom, LazyProviderMatchesEagerSaturation) {
         EXPECT_EQ(eager_stats.epsilons, lazy_stats.epsilons);
         // post* only ever demanded rules; it must not have invented any.
         EXPECT_LE(lazy.rule_count(), eager.rule_count());
+        expect_rules_demanded_by_reads(lazy, lazy_aut, GetParam());
 
         const std::vector<Config> targets{
             {1, {0}}, {2, {1, 0}}, {3, {2, 2, 0}}, {0, {2}}, {1, {2, 0}},
@@ -331,6 +369,32 @@ TEST_P(PdaRandom, LazyProviderMatchesEagerSaturation) {
         EXPECT_TRUE(lazy.fully_materialized());
         EXPECT_EQ(lazy.rule_count(), eager.rule_count());
     }
+}
+
+/// A set-labelled pop visits a state's match lists in symbol order however
+/// lazy demands created them: the order an eager build has, and the one a
+/// re-armed state must reproduce for delta ≡ cold byte-identity.
+TEST(PdaLazy, SetLabelledMatchOrderIsDemandIndependent) {
+    Pda eager(4);
+    eager.add_state();
+    eager.add_state();
+    for (Symbol s = 0; s < 4; ++s)
+        eager.add_rule({0, 1, PreSpec::concrete(s), Rule::OpKind::Pop});
+    ReplayProvider provider(eager);
+    const auto lazy = lazy_twin(eager, provider);
+    const auto ignore = [](RuleId, const nfa::SymbolSet&) {};
+    lazy.for_each_applicable(0, Symbol{3}, ignore); // lists created out of order
+    lazy.for_each_applicable(0, Symbol{1}, ignore);
+
+    const auto visit_order = [](const Pda& pda) {
+        std::vector<Symbol> order;
+        pda.for_each_applicable(0, nfa::SymbolSet::any(), [&](RuleId id, const nfa::SymbolSet&) {
+            order.push_back(pda.rule(id).pre.symbol);
+        });
+        return order;
+    };
+    EXPECT_EQ(visit_order(lazy), (std::vector<Symbol>{0, 1, 2, 3}));
+    EXPECT_EQ(visit_order(lazy), visit_order(eager));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PdaRandom, ::testing::Range(0, 40));

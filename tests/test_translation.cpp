@@ -216,7 +216,9 @@ TEST(TranslationChains, MultiPopChainsVerifyEndToEnd) {
 /// The counting pass behind the lazy interior pool must be *exact*: after
 /// materialize_all the lazy PDA has rule-for-rule and state-for-state the
 /// same totals as an eager build (ids and order may differ), and the pool
-/// is fully consumed — no interior left over, none missing.
+/// is fully consumed — no interior left over, none missing.  The mixed path
+/// — per-label demands during post*, then the "all labels" demand — must
+/// land on the same totals: no label's slice is emitted twice.
 TEST_F(TranslationFixture, LazyMaterializeAllMatchesEagerTotals) {
     const std::vector<std::string> queries = {
         "<ip> [.#v0] .* [v3#.] <ip> 0",
@@ -244,6 +246,16 @@ TEST_F(TranslationFixture, LazyMaterializeAllMatchesEagerTotals) {
             // State parity pins the interior pool: every chain interior the
             // eager build created exists in the pool, and vice versa.
             EXPECT_EQ(lazy.pda().state_count(), eager.pda().state_count()) << text;
+
+            Translation mixed(net, query, lazy_opts);
+            auto aut = mixed.make_initial_automaton();
+            pda::post_star(aut);
+            EXPECT_GT(mixed.pda().rule_count(), 0u) << text;
+            EXPECT_FALSE(mixed.pda().fully_materialized()) << text;
+            mixed.pda().materialize_all();
+            EXPECT_TRUE(mixed.pda().fully_materialized());
+            EXPECT_EQ(mixed.pda().rule_count(), eager.pda().rule_count()) << text;
+            EXPECT_EQ(mixed.pda().state_count(), eager.pda().state_count()) << text;
         }
     }
 }
