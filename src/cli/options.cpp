@@ -132,6 +132,22 @@ Network load_network(const NetworkDocuments& documents) {
     return network;
 }
 
+void VerifySpec::append_key(std::string& key) const {
+    key += engine;
+    key += '\x1f';
+    key += weight;
+    key += '\x1f';
+    key += std::to_string(reduction);
+    key += '\x1f';
+    key += std::to_string(witnesses);
+    key += '\x1f';
+    key += std::to_string(max_iterations);
+    key += '\x1f';
+    key += trace ? '1' : '0';
+    key += '\x1f';
+    key += translation;
+}
+
 verify::VerifyOptions make_verify_options(const VerifySpec& spec, WeightExpr& weights) {
     verify::VerifyOptions options;
     if (spec.reduction < 0 || spec.reduction > 2)

@@ -79,6 +79,12 @@ struct VerifySpec {
     /// PDA rule materialization: auto | lazy | eager (auto picks lazy for
     /// dual/weighted, eager for moped/exact).
     std::string translation = "auto";
+
+    /// Append every field to `key`, '\x1f'-separated (the unit separator
+    /// cannot appear in query or weight text).  The one spelling the server's
+    /// result cache and the Reverifier's session pool key on, so two specs
+    /// share a key only when every field agrees.
+    void append_key(std::string& key) const;
 };
 
 /// Resolve a VerifySpec.  `weights` receives the parsed weight expression

@@ -1,26 +1,15 @@
 #pragma once
-// Incremental re-verification over a patched network: the tiering brain of
-// the what-if PATCH pipeline.
+// Incremental re-verification over a patched network: the what-if PATCH
+// pipeline.
 //
 // A Reverifier owns the evolving network (a chain of copy-on-write
-// snapshots minted by apply()) and a pool of per-query *sessions*.  Each
-// session keeps the parsed query, the resolved options and — crucially — a
-// verify::TranslationCache whose lazily-materialized PDA survives across
-// generations.  When the same query is verified again after a patch, the
-// session decides between three paths, cheapest first:
-//
-//   Reused — the accumulated deltas since the session's base generation
-//            touch neither the materialized translation footprint nor any
-//            initial-configuration candidate link: the stored result is
-//            provably identical, return it without running anything.
-//   Warm   — rebase the translation onto the new snapshot (invalidating
-//            only the affected frontier) and re-run saturation; untouched
-//            materialized states are reused.  Answers are byte-identical
-//            to a cold recompile (see Translation::rebase).
-//   Cold   — rebuild from scratch: first sight of the query, a delta that
-//            minted a new label (alphabet change), an effects window
-//            overflow, a concurrently busy session, or an engine/mode the
-//            warm path does not support (only lazy dual/weighted qualify).
+// snapshots minted by apply()) and a pool of per-query delta::Sessions
+// (delta/session.hpp, which decides between the reused, warm and cold
+// tiers).  Re-answering a query hands its session the effects of every
+// delta since the session's generation.  The snapshots form a chain, so
+// every computed answer re-anchors its session.  Cold also covers first
+// sight of a query, an effects window overflow, a concurrently busy session
+// and engines that cannot rebase (no session is kept for those).
 //
 // Thread-safe: apply() and verify() may race freely; a session is used by
 // at most one verification at a time (competitors fall back to Cold).
@@ -33,17 +22,14 @@
 
 #include "cli/options.hpp"
 #include "delta/delta.hpp"
+#include "delta/session.hpp"
 #include "util/mutex.hpp"
 #include "verify/engine.hpp"
-#include "verify/translation.hpp"
 
 namespace aalwines::delta {
 
-/// How a verification was answered — surfaced in results and telemetry
-/// (delta_tier1_reused / delta_tier2_resaturations / delta_cold_rebuilds).
-enum class VerifyPath : std::uint8_t { Reused, Warm, Cold };
-
-[[nodiscard]] std::string_view to_string(VerifyPath path);
+/// The tier a verify() answer took.
+using VerifyPath = Tier;
 
 class Reverifier {
 public:
@@ -70,7 +56,7 @@ public:
 
     struct Outcome {
         verify::VerifyResult result;
-        VerifyPath path = VerifyPath::Cold;
+        Tier path = Tier::Cold;
         std::uint64_t generation = 0; ///< generation the result was computed on
     };
 
@@ -85,7 +71,7 @@ public:
     [[nodiscard]] std::uint64_t generation() const;
 
 private:
-    struct Session;
+    struct Slot;
 
     /// Union of the per-generation effects in (base, current]; nullopt when
     /// the window no longer reaches back to `base` (session must go Cold).
@@ -100,7 +86,7 @@ private:
     /// k_effects_window (sessions older than the window rebuild Cold).
     std::deque<DeltaEffects> _effects GUARDED_BY(_mutex);
     std::uint64_t _effects_base GUARDED_BY(_mutex) = 0;
-    std::unordered_map<std::string, std::unique_ptr<Session>> _sessions GUARDED_BY(_mutex);
+    std::unordered_map<std::string, std::unique_ptr<Slot>> _sessions GUARDED_BY(_mutex);
     std::uint64_t _session_clock GUARDED_BY(_mutex) = 0; ///< LRU tick
     std::size_t _max_sessions;
 

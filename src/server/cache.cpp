@@ -7,27 +7,11 @@
 namespace aalwines::server {
 
 std::string cache_key(std::uint64_t sequence, std::uint64_t generation,
-                      const std::string& query_text,
-                      const std::string& engine, const std::string& weight,
-                      int reduction, std::size_t witnesses, std::size_t max_iterations,
-                      bool trace, const std::string& translation) {
-    // '\x1f' (ASCII unit separator) cannot appear in query or weight text.
+                      const std::string& query_text, const cli::VerifySpec& spec) {
     std::string key = cache_scope(sequence);
     key += std::to_string(generation);
     key += '\x1f';
-    key += engine;
-    key += '\x1f';
-    key += weight;
-    key += '\x1f';
-    key += std::to_string(reduction);
-    key += '\x1f';
-    key += std::to_string(witnesses);
-    key += '\x1f';
-    key += std::to_string(max_iterations);
-    key += '\x1f';
-    key += trace ? '1' : '0';
-    key += '\x1f';
-    key += translation;
+    spec.append_key(key);
     key += '\x1f';
     key += query_text;
     return key;

@@ -14,6 +14,7 @@
 #include <string>
 #include <unordered_map>
 
+#include "cli/options.hpp"
 #include "util/mutex.hpp"
 #include "verify/engine.hpp"
 
@@ -25,10 +26,7 @@ namespace aalwines::server {
 /// computed against the pre-patch snapshot even if eviction lags.
 [[nodiscard]] std::string cache_key(std::uint64_t sequence, std::uint64_t generation,
                                     const std::string& query_text,
-                                    const std::string& engine, const std::string& weight,
-                                    int reduction, std::size_t witnesses,
-                                    std::size_t max_iterations, bool trace,
-                                    const std::string& translation);
+                                    const cli::VerifySpec& spec);
 
 /// The key prefix shared by every entry of the workspace with this load
 /// sequence — the argument for ResultCache::invalidate after a PATCH.

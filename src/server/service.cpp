@@ -1,6 +1,7 @@
 #include "server/service.hpp"
 
 #include <chrono>
+#include <optional>
 #include <thread>
 
 #include "cli/options.hpp"
@@ -97,6 +98,14 @@ cli::VerifySpec spec_from_request(const json::Object& object) {
     spec.translation = string_field(object, "translation");
     if (spec.translation.empty()) spec.translation = "auto";
     return spec;
+}
+
+/// Tier counts under the tiers' own names ("reused", "warm", "cold") — the
+/// one vocabulary the /query and /sweep access-log lines share.
+void log_tiers(json::Object& log, std::size_t reused, std::size_t warm, std::size_t cold) {
+    log.emplace(std::string(delta::to_string(delta::Tier::Reused)), reused);
+    log.emplace(std::string(delta::to_string(delta::Tier::Warm)), warm);
+    log.emplace(std::string(delta::to_string(delta::Tier::Cold)), cold);
 }
 
 } // namespace
@@ -355,16 +364,14 @@ http::Response Service::handle_query(const http::Request& request,
         std::string key;
         std::shared_ptr<const verify::VerifyResult> result;
         std::string error;
-        std::string path; ///< reverifier tier ("reused"|"warm"|"cold"); "" = batch
+        std::optional<delta::Tier> tier; ///< set when the Reverifier answered
         bool cached = false;
     };
     std::vector<Slot> slots(texts.size());
     std::vector<std::string> missing;
     std::vector<std::size_t> missing_index;
     for (std::size_t i = 0; i < texts.size(); ++i) {
-        slots[i].key = cache_key(workspace.sequence, workspace.generation, texts[i],
-                                 spec.engine, spec.weight, spec.reduction, spec.witnesses,
-                                 spec.max_iterations, spec.trace, spec.translation);
+        slots[i].key = cache_key(workspace.sequence, workspace.generation, texts[i], spec);
         slots[i].result = _cache.find(slots[i].key);
         slots[i].cached = slots[i].result != nullptr;
         if (!slots[i].cached) {
@@ -383,7 +390,7 @@ http::Response Service::handle_query(const http::Request& request,
                 auto& slot = slots[missing_index[m]];
                 try {
                     auto outcome = reverifier->verify(missing[m], spec);
-                    slot.path = delta::to_string(outcome.path);
+                    slot.tier = outcome.path;
                     slot.result = std::make_shared<const verify::VerifyResult>(
                         std::move(outcome.result));
                     _cache.insert(slot.key, slot.result);
@@ -419,6 +426,10 @@ http::Response Service::handle_query(const http::Request& request,
         for (const auto& slot : slots) hits += slot.cached ? 1 : 0;
         log->emplace("cacheHits", hits);
         log->emplace("cacheMisses", texts.size() - hits);
+        std::size_t tiers[3] = {}; // indexed by delta::Tier
+        for (const auto& slot : slots)
+            if (slot.tier) ++tiers[static_cast<std::size_t>(*slot.tier)];
+        if (tiers[0] + tiers[1] + tiers[2] > 0) log_tiers(*log, tiers[0], tiers[1], tiers[2]);
         if (!batch)
             log->emplace("answer", slots[0].error.empty()
                                        ? std::string(verify::to_string(slots[0].result->answer))
@@ -454,7 +465,9 @@ http::Response Service::handle_query(const http::Request& request,
         auto entry = io::result_to_json_value(*workspace.network, texts[i],
                                               *slots[i].result, stats);
         entry.as_object().emplace("cached", slots[i].cached);
-        if (!slots[i].path.empty()) entry.as_object().emplace("path", slots[i].path);
+        if (slots[i].tier)
+            entry.as_object().emplace("path",
+                                      std::string(delta::to_string(*slots[i].tier)));
         return entry;
     };
 
@@ -533,9 +546,8 @@ http::Response Service::handle_sweep(const http::Request& request,
     if (log != nullptr) {
         log->emplace("network", workspace.id);
         log->emplace("sweepCells", sweep.stats.cells);
-        log->emplace("coldSaturations", sweep.stats.cold_saturations);
-        log->emplace("reusedFrontiers", sweep.stats.reused_frontiers);
-        log->emplace("sharedSaturations", sweep.stats.shared_saturations);
+        log_tiers(*log, sweep.stats.shared_saturations, sweep.stats.reused_frontiers,
+                  sweep.stats.cold_saturations);
         log->emplace("errors", sweep.stats.errors);
         log->emplace("answer", "sweep");
     }

@@ -60,9 +60,10 @@ enum class Counter : std::uint32_t {
     server_cache_misses,    ///< compiled-query cache misses
     server_cache_evictions, ///< compiled-query cache entries evicted (LRU + invalidation)
     server_patches,         ///< PATCH /networks/{id} deltas applied
-    delta_tier1_reused,     ///< patched re-verifies answered by result reuse
-    delta_tier2_resaturations, ///< patched re-verifies answered by frontier re-saturation
-    delta_cold_rebuilds,    ///< patched re-verifies that fell back to a cold recompile
+    // Re-answers by delta::Session tier: PATCH re-answers and sweep cells.
+    delta_tier1_reused,     ///< re-answers reusing the anchor's result
+    delta_tier2_resaturations, ///< re-answers re-saturating a rebased translation
+    delta_cold_rebuilds,    ///< re-answers verified from a fresh translation
     delta_states_invalidated, ///< control states un-materialized by delta rebasing
     count_,
 };

@@ -56,6 +56,13 @@ bool use_lazy_translation(TranslationMode mode, EngineKind engine) {
     return engine == EngineKind::Dual || engine == EngineKind::Weighted;
 }
 
+const WeightExpr* translation_weights(const VerifyOptions& options) {
+    return options.engine == EngineKind::Weighted && options.weights != nullptr &&
+                   !options.weights->empty()
+               ? options.weights
+               : nullptr;
+}
+
 namespace {
 
 using Clock = std::chrono::steady_clock;
@@ -232,8 +239,7 @@ VerifyResult verify_impl(const Network& network, const query::Query& query,
             throw model_error("the exact engine cannot reuse a translation cache");
         return exact_verify(network, query, options);
     }
-    if (options.engine == EngineKind::Weighted &&
-        (options.weights == nullptr || options.weights->empty()))
+    if (options.engine == EngineKind::Weighted && translation_weights(options) == nullptr)
         throw model_error("the weighted engine requires a weight expression");
 
     const auto start = std::chrono::steady_clock::now();
@@ -246,8 +252,7 @@ VerifyResult verify_impl(const Network& network, const query::Query& query,
     // incremental what-if path rebases it between network generations.
     std::optional<TranslationCache> local;
     if (external == nullptr)
-        local.emplace(network, query,
-                      options.engine == EngineKind::Weighted ? options.weights : nullptr,
+        local.emplace(network, query, translation_weights(options),
                       use_lazy_translation(options.translation, options.engine));
     else
         AALWINES_ASSERT(&external->network() == &network,

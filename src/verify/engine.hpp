@@ -79,6 +79,11 @@ struct VerifyOptions {
     pda::SolverWorkspace* workspace = nullptr;
 };
 
+/// The weights a dual/weighted run's translation prices rules with: the
+/// weight expression of a weighted run, none otherwise (an empty expression
+/// counts as none).
+[[nodiscard]] const WeightExpr* translation_weights(const VerifyOptions& options);
+
 /// Timing and size figures for one saturation phase.  Every engine reports
 /// the same semantics so `--stats` output is comparable across engines:
 /// `pda_rules`/`pda_states` describe the symbolic translation PDA after any

@@ -69,26 +69,18 @@ std::vector<ScenarioState> build_scenarios(const Network& base,
     return states;
 }
 
-/// Links whose up/down state differs between two scenarios: each `flips`
-/// set is relative to the same base, so the symmetric difference is exact.
-std::vector<LinkId> toggled_between(const std::vector<LinkId>& a,
+/// The change between two scenarios: the links whose up/down state differs.
+/// Each `flips` set is relative to the same base, so the symmetric
+/// difference is exact.
+delta::DeltaEffects toggled_between(const std::vector<LinkId>& a,
                                     const std::vector<LinkId>& b) {
-    std::vector<LinkId> out;
+    delta::DeltaEffects effects;
     std::set_symmetric_difference(a.begin(), a.end(), b.begin(), b.end(),
-                                  std::back_inserter(out));
-    return out;
+                                  std::back_inserter(effects.state_links));
+    return effects;
 }
 
 } // namespace
-
-std::string_view to_string(CellPath path) {
-    switch (path) {
-        case CellPath::Cold: return "cold";
-        case CellPath::Warm: return "warm";
-        case CellPath::Reused: return "reused";
-    }
-    return "?";
-}
 
 std::string instantiate_template(const std::string& query_template,
                                  const std::string& src, const std::string& dst,
@@ -165,13 +157,6 @@ SweepResult run_sweep(const Network& network, const SweepSpec& spec,
     for (auto& flag : nfa_once) flag = std::make_unique<std::once_flag>();
     std::vector<std::shared_ptr<const CompiledNfas>> pair_nfas(pairs.size());
 
-    const bool native = options.engine == EngineKind::Dual ||
-                        options.engine == EngineKind::Weighted;
-    const bool lazy = use_lazy_translation(options.translation, options.engine);
-    // Frontier tier needs rebase, which only the lazy native engines
-    // support — the same gate as delta::Reverifier's warm path.
-    const bool warm_capable = native && lazy;
-
     if (jobs == 0) jobs = std::max(1u, std::thread::hardware_concurrency());
     jobs = std::min(jobs, n_chains);
 
@@ -194,105 +179,43 @@ SweepResult run_sweep(const Network& network, const SweepSpec& spec,
             const std::size_t p = chain / budgets.size();
             SweepCell* cells = &sweep.cells[chain * n_scenarios];
 
-            query::Query query;
             try {
-                // Parse once per chain against the base network: scenarios
-                // share its topology and label table (link-state deltas
-                // never add routers, links or labels), so every atom
-                // resolves to the same ids as a per-scenario parse.
-                query = query::parse_query(cells[0].query_text, network);
                 std::call_once(*nfa_once[p], [&] {
-                    pair_nfas[p] = std::make_shared<const CompiledNfas>(
-                        compile_query_nfas(network, query));
+                    pair_nfas[p] = std::make_shared<const CompiledNfas>(compile_query_nfas(
+                        network, query::parse_query(cells[0].query_text, network)));
                 });
             } catch (const std::exception& error) {
                 for (std::size_t s = 0; s < n_scenarios; ++s)
                     cells[s].error = error.what();
                 continue;
             }
-            const auto& nfas = pair_nfas[p];
 
-            // Frontier tier state.  The live session chains scenario to
-            // scenario (rebase keeps the untouched materialization warm),
-            // but the *reuse* test compares each scenario against a frozen
-            // footprint snapshot of the chain's first verified cell — the
-            // anchor.  Anchoring matters: a single-failure battery diffs
-            // one flipped link against the anchor instead of two against
-            // its predecessor (the new failure plus the restored previous
-            // one), so far more cells carry the anchor's answer over for
-            // free, while warm cells still pay only the affected cone.
-            std::unique_ptr<TranslationCache> cache;
-            std::size_t based_on = 0; // scenario the live session sits on
-            std::size_t anchor = 0;
-            const VerifyResult* anchor_result = nullptr;
-            LinkFootprint anchor_footprint;
-
+            // Frontier tier: the scenarios the session's anchor and its live
+            // translation sit on.  Only the chain's first answer is anchored.
+            delta::Session session(cells[0].query_text, cell_options, pair_nfas[p]);
+            std::size_t anchor = 0, live = 0;
             for (std::size_t s = 0; s < n_scenarios; ++s) {
                 auto& cell = cells[s];
                 const auto& scenario = scenario_states[s];
                 const auto cell_start = Clock::now();
                 try {
-                    if (!native) {
-                        cell.result = verify(*scenario.network, query, cell_options);
-                        cell.path = CellPath::Cold;
-                    } else if (anchor_result != nullptr &&
-                               !anchor_footprint.touches(toggled_between(
-                                   scenario_states[anchor].flips, scenario.flips))) {
-                        // The diff to the anchor misses its materialized
-                        // footprint and every initial-configuration
-                        // candidate: the anchor's answer provably carries
-                        // over without running anything — no session needed.
-                        cell.result = *anchor_result;
-                        cell.path = CellPath::Reused;
-                    } else if (cache == nullptr) {
-                        cache = std::make_unique<TranslationCache>(
-                            *scenario.network, query, cell_options.weights, lazy, nfas);
-                        cell.result =
-                            verify(*scenario.network, query, cell_options, *cache);
-                        cell.path = CellPath::Cold;
-                        based_on = s;
-                        if (warm_capable && anchor_result == nullptr) {
-                            // Freeze the anchor's footprint now, while the
-                            // session still holds exactly what this cell's
-                            // saturations materialized (it stays valid
-                            // across link-state flips — see LinkFootprint).
-                            anchor = s;
-                            anchor_result = &cell.result;
-                            if (auto* over = cache->over_or_null())
-                                over->add_to_footprint(anchor_footprint);
-                            if (auto* under = cache->under_or_null())
-                                under->add_to_footprint(anchor_footprint);
-                        }
-                    } else {
-                        // Split exactly like delta::Reverifier: a link-state
-                        // flip dirties the link's own entries *and* its role
-                        // as an out-link (skipped rules, failure budget,
-                        // initial-state membership).
-                        const auto toggled = toggled_between(
-                            scenario_states[based_on].flips, scenario.flips);
-                        std::vector<bool> dirty(network.topology.link_count(), false);
-                        for (const auto link : toggled) dirty[link] = true;
-                        cache->rebase(*scenario.network, dirty, dirty);
-                        cell.result =
-                            verify(*scenario.network, query, cell_options, *cache);
-                        cell.path = CellPath::Warm;
-                        based_on = s;
+                    const bool first = !session.anchored();
+                    const auto since_anchor =
+                        toggled_between(scenario_states[anchor].flips, scenario.flips);
+                    const auto since_live =
+                        toggled_between(scenario_states[live].flips, scenario.flips);
+                    auto answer =
+                        session.answer(scenario.network, &since_anchor, &since_live, first);
+                    cell.result = std::move(answer.result);
+                    cell.path = answer.tier;
+                    if (answer.tier != CellPath::Reused) {
+                        live = s;
+                        if (first) anchor = s;
                     }
                 } catch (const std::exception& error) {
                     cell.error = error.what();
-                    // No half-rebased session survives an error; the next
-                    // scenario rebuilds cold from its own snapshot.  The
-                    // anchor snapshot and result stay valid — they describe
-                    // the anchor cell, not the live session.
-                    cache.reset();
                 }
                 cell.seconds = seconds_since(cell_start);
-                if (!warm_capable) {
-                    // Eager native engines keep the NFA and workspace tiers
-                    // but cannot rebase: every cell verifies cold through a
-                    // fresh session.
-                    cache.reset();
-                }
             }
         }
     };

@@ -13,27 +13,27 @@
 //                  pair (`SweepStats::nfa_compiles` counts pairs, not
 //                  cells).
 //   Frontier tier  Cells of one (pair, k) chain differ only in which links
-//                  are down.  The chain keeps one lazy TranslationCache and
-//                  walks the scenario axis by diffing failed-link sets:
-//                  when the diff misses the materialized translation
-//                  footprint and every initial-configuration candidate, the
-//                  previous cell's result provably carries over without
-//                  running anything (`shared_saturations`); otherwise the
-//                  translation is rebased (Translation::rebase) and
-//                  saturation re-enters from the surviving frontier,
-//                  re-materializing only the invalidated states
-//                  (`reused_frontiers`).  Answers are byte-identical to a
-//                  cold run on the scenario network either way.
+//                  are down.  The chain answers through one delta::Session
+//                  (delta/session.hpp), handing it the links flipped since
+//                  the session's anchor and since its live translation.  The
+//                  scenarios form a star around the base network, so only
+//                  the chain's first answer is anchored: a single-failure
+//                  battery then diffs one flipped link against the anchor
+//                  instead of two against its predecessor.  A cell is
+//                  reused (`shared_saturations`) when the diff misses the
+//                  anchor's footprint, warm (`reused_frontiers`) when the
+//                  live translation is rebased and re-saturated, cold
+//                  otherwise.  Answers are byte-identical to a cold run on
+//                  the scenario network either way.
 //   Workspace tier Each worker owns one pda::SolverWorkspace reused across
 //                  all its cells (VerifyOptions::workspace), so worklist
 //                  buckets are allocated once per worker, not once per
 //                  cell.
 //
 // Chains — one per (pair, k) — distribute over a `jobs`-sized worker pool;
-// within a chain, scenarios run in spec order so each cell can reuse its
-// predecessor.  The frontier tier needs a warm-capable engine (dual or
-// weighted with lazy translation, exactly like delta::Reverifier); other
-// engines still get the NFA and workspace tiers, with every cell cold.
+// within a chain, scenarios run in spec order.  The frontier tier needs a
+// warm-capable run (delta::warm_capable); other engines still get the NFA
+// and workspace tiers, with every cell cold.
 
 #include <cstdint>
 #include <string>
@@ -41,6 +41,7 @@
 #include <utility>
 #include <vector>
 
+#include "delta/session.hpp"
 #include "verify/engine.hpp"
 
 namespace aalwines::verify {
@@ -65,15 +66,8 @@ struct SweepSpec {
     std::vector<SweepScenario> scenarios;
 };
 
-/// How a cell's answer was obtained (the sweep's analogue of
-/// delta::VerifyPath).
-enum class CellPath : std::uint8_t {
-    Cold,   ///< fresh saturation (first scenario of a chain, or not warm-capable)
-    Warm,   ///< re-entered saturation from the chain's rebased frontier
-    Reused, ///< previous cell's result carried over without running anything
-};
-
-[[nodiscard]] std::string_view to_string(CellPath path);
+/// How a cell's answer was obtained.
+using CellPath = delta::Tier;
 
 struct SweepCell {
     std::size_t pair = 0;     ///< index into SweepSpec::endpoint_pairs

@@ -162,15 +162,6 @@ void Translation::compute_initial_states() {
     _initial_states.assign(initial.begin(), initial.end());
 }
 
-bool Translation::initial_links_touch(const std::vector<bool>& dirty) const {
-    const auto domain = static_cast<nfa::Symbol>(_network->topology.link_count());
-    for (const auto q0 : _nfa_b.initial())
-        for (const auto& edge : _nfa_b.states()[q0].edges)
-            for (const auto link : edge.symbols.materialize(domain))
-                if (link < dirty.size() && dirty[link]) return true;
-    return false;
-}
-
 pda::Weight Translation::make_step_weight(const ForwardingRule& rule,
                                           std::uint64_t local_failures) const {
     if (_options.weights == nullptr || _options.weights->empty()) return pda::Weight::one();
@@ -597,16 +588,6 @@ std::vector<char> Translation::affected_links(
         if (dirty_at(behavior_dirty, out))
             for (const auto l : _links_into[out]) affected[l] = 1;
     return affected;
-}
-
-bool Translation::footprint_touches(const std::vector<bool>& dirty,
-                                    const std::vector<bool>& behavior_dirty) const {
-    AALWINES_ASSERT(_lazy, "footprint queries need a demand-driven translation");
-    const auto affected = affected_links(dirty, behavior_dirty);
-    const auto n_control = _failure_slots * _nfa_b.size() * _network->topology.link_count();
-    for (pda::StateId s = 0; s < n_control; ++s)
-        if (_pda->is_demanded(s) && affected[_control_info[s].link]) return true;
-    return false;
 }
 
 void Translation::add_to_footprint(LinkFootprint& fp) const {

@@ -43,27 +43,30 @@ struct CompiledNfas {
 [[nodiscard]] CompiledNfas compile_query_nfas(const Network& network,
                                               const query::Query& query);
 
-/// A frozen, session-independent image of a saturation's link footprint —
-/// everything `footprint_touches` + `initial_links_touch` consult, captured
-/// as three bitsets so the carry-over test outlives the live translation
-/// (which may rebase away afterwards).  Valid across link-state flips only:
-/// those never edit routing entries, so the out-link relation recorded at
-/// snapshot time holds for every scenario of the same base network.
+/// A frozen image of a saturation's link footprint, taken right after it
+/// (Translation::add_to_footprint) so the carry-over test outlives the live
+/// translation, which may rebase away afterwards.  The test reads the two
+/// bitmaps of Translation::rebase, measured from the snapshot the footprint
+/// was taken on: `out_links` holds that snapshot's out-link relation.
 struct LinkFootprint {
     std::vector<bool> materialized; ///< link carries a demanded control state
     std::vector<bool> out_links;    ///< out-link of some materialized link's rule
     std::vector<bool> initial;      ///< path-NFA start candidate links
 
-    /// Whether toggling the up/down state of `toggled` links could change
-    /// the snapshotted saturation — false means its result provably carries
-    /// over to the toggled network (same argument as footprint_touches).
-    [[nodiscard]] bool touches(const std::vector<LinkId>& toggled) const {
-        for (const auto link : toggled) {
-            if (link < materialized.size() && materialized[link]) return true;
-            if (link < out_links.size() && out_links[link]) return true;
-            if (link < initial.size() && initial[link]) return true;
-        }
-        return false;
+    /// Whether a rebase over the bitmaps could change the frozen saturation
+    /// (a dirty link carries a demanded state, or a behavior-dirty link is
+    /// an out-link of one or an initial candidate).  False means the frozen
+    /// result provably carries over.
+    [[nodiscard]] bool touches(const std::vector<bool>& dirty,
+                               const std::vector<bool>& behavior_dirty) const {
+        const auto any_in = [](const std::vector<bool>& changed,
+                               const std::vector<bool>& footprint) {
+            for (std::size_t l = 0; l < changed.size() && l < footprint.size(); ++l)
+                if (changed[l] && footprint[l]) return true;
+            return false;
+        };
+        return any_in(dirty, materialized) || any_in(behavior_dirty, out_links) ||
+               any_in(behavior_dirty, initial);
     }
 };
 
@@ -150,19 +153,6 @@ public:
     /// recompile against the patched network.
     void rebase(const Network& network, const std::vector<bool>& dirty,
                 const std::vector<bool>& behavior_dirty);
-
-    /// Whether any *demanded* control state (see pda::Pda::is_demanded)
-    /// would be invalidated by a rebase over the bitmaps — false means the
-    /// previous result provably carries over (if the initial states don't
-    /// touch the delta either).
-    [[nodiscard]] bool footprint_touches(const std::vector<bool>& dirty,
-                                         const std::vector<bool>& behavior_dirty) const;
-
-    /// Whether any link the path NFA can start with is flagged in `dirty`
-    /// (candidate links, before the up/down filter — a link-state flip on a
-    /// candidate changes initial-state membership, a distance change on one
-    /// changes the weighted entry weight).
-    [[nodiscard]] bool initial_links_touch(const std::vector<bool>& dirty) const;
 
     /// OR this translation's current footprint into `fp` (sized to the link
     /// count on first use).  Call right after a verify so the bitsets cover

@@ -27,6 +27,7 @@
 #include "synthesis/queries.hpp"
 #include "util/errors.hpp"
 #include "verify/engine.hpp"
+#include "verify/sweep.hpp"
 
 namespace aalwines::delta {
 namespace {
@@ -410,6 +411,39 @@ TEST(Reverifier, AddedEntryReArmsAnEmptyClaim) {
               canonical(*snapshot, query_text, oracle));
 }
 
+/// PATCH re-answers and sweep cells decide through the same Session: one
+/// link-down applied as a PATCH and as a one-failure sweep scenario after
+/// the baseline takes the same tier and gives the same answer, warm for a
+/// link on the query's footprint (v0.e1) and reused for one off it (v4.e6).
+TEST(Reverifier, AgreesWithASweepCell) {
+    const auto base = std::make_shared<const Network>(synthesis::make_figure1_network());
+    struct Case {
+        LinkSite link;
+        VerifyPath tier;
+    };
+    for (const auto& [link, tier] :
+         {Case{{"v0", "e1"}, VerifyPath::Warm}, Case{{"v4", "e6"}, VerifyPath::Reused}}) {
+        SCOPED_TRACE(link.router + "." + link.interface);
+        Reverifier reverifier(base);
+        ASSERT_EQ(reverifier.verify(k_fig1_yes, {}).path, VerifyPath::Cold);
+        reverifier.apply(NetworkDelta{{link_state_op(link, false)}});
+        const auto patched = reverifier.verify(k_fig1_yes, {});
+
+        verify::SweepSpec spec;
+        spec.query_template = k_fig1_yes;
+        spec.scenarios = {{"baseline", {}}, {"down", {{link.router, link.interface}}}};
+        const auto sweep = verify::run_sweep(*base, spec, {}, 1);
+        ASSERT_EQ(sweep.cells.size(), 2u);
+        const auto& cell = sweep.cells[1];
+        ASSERT_TRUE(cell.error.empty()) << cell.error;
+        EXPECT_EQ(patched.path, tier);
+        EXPECT_EQ(cell.path, tier);
+        const auto& snapshot = *reverifier.network();
+        EXPECT_EQ(canonical(snapshot, k_fig1_yes, cell.result),
+                  canonical(snapshot, k_fig1_yes, patched.result));
+    }
+}
+
 // ---- delta ≡ cold-recompile equivalence batteries --------------------
 
 /// Run `iterations` random deltas (rule toggles, link flips, distance
@@ -419,6 +453,16 @@ TEST(Reverifier, AddedEntryReArmsAnEmptyClaim) {
 struct BatteryOutcome {
     std::size_t reused = 0, warm = 0, cold = 0;
 };
+
+/// Pin the tier mix of a default-length battery (AALWINES_DELTA_BATTERY
+/// unset), so a change to the reuse decision cannot pass unnoticed.
+void expect_default_mix(const BatteryOutcome& outcome, std::size_t reused, std::size_t warm,
+                        std::size_t cold) {
+    if (std::getenv("AALWINES_DELTA_BATTERY") != nullptr) return;
+    EXPECT_EQ(outcome.reused, reused);
+    EXPECT_EQ(outcome.warm, warm);
+    EXPECT_EQ(outcome.cold, cold);
+}
 
 void run_battery(const Network& base, const std::string& query_text,
                  const cli::VerifySpec& spec, std::size_t iterations,
@@ -486,6 +530,7 @@ TEST(DeltaBattery, Figure1Equivalence) {
     // Both incremental tiers must actually be exercised by the battery.
     EXPECT_GT(outcome.reused, 0u);
     EXPECT_GT(outcome.warm, 0u);
+    expect_default_mix(outcome, 41, 19, 0);
 }
 
 TEST(DeltaBattery, Figure1WeightedEquivalence) {
@@ -497,6 +542,7 @@ TEST(DeltaBattery, Figure1WeightedEquivalence) {
     run_battery(base, "<smpls? ip> [.#v0] .* [v3#.] <smpls? ip> 1", spec,
                 40 * battery_scale(), 0xd157u, outcome);
     EXPECT_GT(outcome.reused + outcome.warm, 0u);
+    expect_default_mix(outcome, 27, 13, 0);
 }
 
 TEST(DeltaBattery, NordunetEquivalence) {
@@ -507,6 +553,7 @@ TEST(DeltaBattery, NordunetEquivalence) {
     run_battery(net.network, queries[0], cli::VerifySpec{}, 30 * battery_scale(), 0x40du,
                 outcome);
     EXPECT_GT(outcome.reused + outcome.warm, 0u);
+    expect_default_mix(outcome, 21, 9, 0);
 }
 
 } // namespace

@@ -630,6 +630,22 @@ TEST(Server, AccessLogRoundTrip) {
                             "/networks/" + id + "/query", body)
                       .status,
                   200);
+        // A patched workspace answers through its Reverifier (cold: its
+        // first sight of the query), and a sweep logs the same tier keys.
+        ASSERT_EQ(roundtrip(daemon.server.port(), "PATCH", "/networks/" + id,
+                            R"({"operations": [{"op": "link-state", "router": "v0",
+                                "interface": "e1", "up": false}]})")
+                      .status,
+                  200);
+        ASSERT_EQ(roundtrip(daemon.server.port(), "POST",
+                            "/networks/" + id + "/query", body)
+                      .status,
+                  200);
+        ASSERT_EQ(roundtrip(daemon.server.port(), "POST", "/networks/" + id + "/sweep",
+                            R"({"template":"<ip> [.#v0] .* [v3#.] <ip> 0",
+                                "singleFailures":0})")
+                      .status,
+                  200);
     }
 
     std::ifstream in(path);
@@ -640,10 +656,11 @@ TEST(Server, AccessLogRoundTrip) {
         if (!line.empty()) records.push_back(json::parse(line));
     ::unlink(path.c_str());
 
-    ASSERT_EQ(records.size(), 3u); // load + two queries, in request order
+    // Load, two queries, patch, re-query and sweep, in request order.
+    ASSERT_EQ(records.size(), 6u);
     for (std::size_t i = 0; i < records.size(); ++i) {
         EXPECT_EQ(records[i].at("id").as_int(), static_cast<std::int64_t>(i + 1));
-        EXPECT_EQ(records[i].at("method").as_string(), "POST");
+        EXPECT_EQ(records[i].at("method").as_string(), i == 3 ? "PATCH" : "POST");
         EXPECT_GE(records[i].at("durationMs").as_double(), 0.0);
         const auto time = records[i].at("time").as_string();
         ASSERT_EQ(time.size(), 20u) << time;
@@ -669,6 +686,25 @@ TEST(Server, AccessLogRoundTrip) {
     EXPECT_EQ(hash.size(), 16u);
     EXPECT_EQ(hash.find_first_not_of("0123456789abcdef"), std::string::npos);
     EXPECT_EQ(hash, second.at("queryHash").as_string());
+
+    // Tier counts appear only where the Reverifier answered, under the same
+    // keys as the sweep line's.
+    for (const auto* key : {"reused", "warm", "cold"}) {
+        EXPECT_EQ(first.find(key), nullptr) << key;
+        EXPECT_EQ(second.find(key), nullptr) << key;
+    }
+    const auto& requery = records[4];
+    EXPECT_EQ(requery.at("cacheMisses").as_int(), 1);
+    EXPECT_EQ(requery.at("reused").as_int(), 0);
+    EXPECT_EQ(requery.at("warm").as_int(), 0);
+    EXPECT_EQ(requery.at("cold").as_int(), 1);
+    const auto& sweep = records[5];
+    EXPECT_EQ(sweep.at("answer").as_string(), "sweep");
+    EXPECT_EQ(sweep.at("reused").as_int() + sweep.at("warm").as_int() +
+                  sweep.at("cold").as_int(),
+              sweep.at("sweepCells").as_int());
+    EXPECT_EQ(sweep.at("cold").as_int(), 1);
+    EXPECT_EQ(sweep.find("coldSaturations"), nullptr);
 }
 
 TEST(AccessLog, StableHashIdsAndTimestamp) {
@@ -834,6 +870,31 @@ TEST(ServerOptions, VerifySpecValidation) {
     const auto options = cli::make_verify_options(spec, weights);
     EXPECT_EQ(options.engine, verify::EngineKind::Weighted);
     EXPECT_EQ(options.reduction_level, 1);
+}
+
+/// The result cache and the Reverifier's session pool key on
+/// VerifySpec::append_key: a field it left out would hand one spec's answer
+/// to another.  Every single-field change must change the key.
+TEST(ServerOptions, VerifySpecKeyCoversEveryField) {
+    const auto key_of = [](const cli::VerifySpec& spec) {
+        return cache_key(1, 0, k_yes_query, spec);
+    };
+    std::vector<std::string> keys{key_of({})};
+    const auto with = [&](auto edit) {
+        cli::VerifySpec spec;
+        edit(spec);
+        keys.push_back(key_of(spec));
+    };
+    with([](cli::VerifySpec& spec) { spec.engine = "moped"; });
+    with([](cli::VerifySpec& spec) { spec.weight = "hops"; });
+    with([](cli::VerifySpec& spec) { spec.reduction = 1; });
+    with([](cli::VerifySpec& spec) { spec.trace = false; });
+    with([](cli::VerifySpec& spec) { spec.witnesses = 2; });
+    with([](cli::VerifySpec& spec) { spec.max_iterations = 5; });
+    with([](cli::VerifySpec& spec) { spec.translation = "eager"; });
+    for (std::size_t i = 0; i < keys.size(); ++i)
+        for (std::size_t j = i + 1; j < keys.size(); ++j)
+            EXPECT_NE(keys[i], keys[j]) << "edits " << i << " and " << j;
 }
 
 } // namespace

@@ -128,6 +128,10 @@ TEST(Sweep, GridShapeAndStats) {
     // cold exactly once, every later scenario rebases or carries over.
     EXPECT_EQ(sweep.stats.cold_saturations,
               spec.endpoint_pairs.size() * spec.failure_budgets.size());
+    // The tier mix is pinned, so a change to the reuse decision shows here.
+    EXPECT_EQ(sweep.stats.cold_saturations, 4u);
+    EXPECT_EQ(sweep.stats.reused_frontiers, 16u);
+    EXPECT_EQ(sweep.stats.shared_saturations, 0u);
     // Cell indexes follow the documented pair-major layout.
     for (std::size_t i = 0; i < sweep.cells.size(); ++i) {
         const auto& cell = sweep.cells[i];
@@ -154,6 +158,9 @@ TEST(Sweep, MatchesOneByOneDualLazy) {
 
     const auto sweep = run_sweep(net, spec, {}, 2);
     expect_equivalent(net, spec, sweep, {});
+    EXPECT_EQ(sweep.stats.cold_saturations, 4u);
+    EXPECT_EQ(sweep.stats.reused_frontiers, 19u);
+    EXPECT_EQ(sweep.stats.shared_saturations, 13u);
 }
 
 TEST(Sweep, MatchesOneByOneAcrossModesAndThreads) {
@@ -179,8 +186,9 @@ TEST(Sweep, MatchesOneByOneAcrossModesAndThreads) {
                          " jobs=" + std::to_string(jobs));
             expect_equivalent(net.network, spec, sweep, options);
             // Eager translations cannot rebase: every cell saturates cold.
-            if (translation == TranslationMode::Eager)
+            if (translation == TranslationMode::Eager) {
                 EXPECT_EQ(sweep.stats.cold_saturations, sweep.stats.cells);
+            }
         }
     }
 }
