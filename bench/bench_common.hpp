@@ -128,12 +128,8 @@ inline double percentile(const std::vector<double>& sorted, double q) {
 } // namespace detail
 
 /// Write the collected samples + telemetry totals as a JSON report.
-/// `extras` (optional) is merged into the top-level document — benchmarks
-/// use it for derived metrics (e.g. bench_server's cache hit-rate) that a
-/// CI reader should not have to recompute from raw counters.
 /// Returns false (with a message) if the file cannot be opened.
-inline bool write_json_report(const std::string& path, const std::string& bench_name,
-                              json::Object extras = {}) {
+inline bool write_json_report(const std::string& path, const std::string& bench_name) {
     auto& store = detail::sample_store();
     const std::lock_guard lock(store.mutex);
 
@@ -204,7 +200,6 @@ inline bool write_json_report(const std::string& path, const std::string& bench_
     document.emplace("gauges", json::Value(std::move(gauges)));
     document.emplace("histograms", json::Value(std::move(histograms)));
     document.emplace("peakRssKb", telemetry::peak_rss_kb());
-    for (auto& [key, value] : extras) document.emplace(key, std::move(value));
 
     std::ofstream out(path);
     if (!out) {

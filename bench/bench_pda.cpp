@@ -125,7 +125,8 @@ void translation_only(benchmark::State& state) {
 }
 
 /// Lazy setup cost alone: control states, move index, and the rule-free
-/// counting pass that sizes the interior pool — no rule is emitted.
+/// counting pass behind the eager-equivalent rule total — no rule is
+/// emitted and no chain interior is created.
 void translation_only_lazy(benchmark::State& state) {
     const auto instance = make_instance(static_cast<std::size_t>(state.range(0)));
     const auto query =
@@ -159,6 +160,7 @@ void nordunet_scaling(benchmark::State& state) {
         static_cast<double>(last.stats.over.pda_rules_materialized);
     state.counters["pda_rules_total"] =
         static_cast<double>(last.stats.over.pda_rules_total);
+    state.counters["pda_states"] = static_cast<double>(last.stats.over.pda_states);
 }
 
 void nordunet_scaling_moped(benchmark::State& state) {

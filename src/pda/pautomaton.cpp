@@ -29,31 +29,25 @@ namespace {
 }
 } // namespace
 
-PAutomaton::PAutomaton(const Pda& pda) : _pda(&pda), _control_count(pda.state_count()) {
-    _final.resize(_control_count, false);
-    _trans_from.resize(_control_count);
-    _eps_by_target.resize(_control_count);
-    _eps_from.resize(_control_count);
-    _canonical_key.resize(_control_count);
-    for (StateId s = 0; s < _control_count; ++s) _canonical_key[s] = s;
-}
+const PAutomaton::StateData PAutomaton::k_untouched{};
 
 StateId PAutomaton::add_state() {
-    _final.push_back(false);
-    _trans_from.emplace_back();
-    _eps_by_target.emplace_back();
-    _eps_from.emplace_back();
-    const auto id = static_cast<StateId>(_trans_from.size() - 1);
-    // Pre-saturation states (control mirrors, NFA copies) are created in a
-    // deterministic order, so their id doubles as the canonical key;
-    // mid_state() overrides this for saturation-created states.
-    _canonical_key.push_back(id);
+    const auto id = static_cast<StateId>(k_first_helper + _helpers.size());
+    AALWINES_ASSERT(id >= k_first_helper, "P-automaton helper ids exhausted");
+    // Pre-saturation helpers (NFA copies) are created in a deterministic
+    // order, so their id doubles as the canonical key; mid_state() overrides
+    // this for saturation-created states.
+    _helpers.push_back({{}, {}, {}, id, false});
     return id;
 }
 
 void PAutomaton::set_final(StateId state, bool final) {
-    AALWINES_ASSERT(state < _final.size(), "set_final on an unknown state");
-    _final[state] = final;
+    AALWINES_ASSERT(has_state(state), "set_final on an unknown state");
+    touch(state).final = final;
+}
+
+void PAutomaton::cover_pda_states() {
+    if (_control.size() < _pda->state_count()) _control.resize(_pda->state_count());
 }
 
 int PAutomaton::compare_trans_identity(std::uint32_t a, std::uint32_t b) const {
@@ -98,7 +92,7 @@ int PAutomaton::compare_provenance(const Provenance& a, const Provenance& b) con
 std::pair<TransId, bool> PAutomaton::add_transition(StateId from, EdgeLabel label,
                                                     StateId to, Weight weight,
                                                     Provenance prov) {
-    AALWINES_ASSERT(from < _trans_from.size() && to < _trans_from.size(),
+    AALWINES_ASSERT(has_state(from) && has_state(to),
                     "transition endpoint is not an automaton state");
     if (label.is_concrete()) {
         note_weight(weight);
@@ -131,11 +125,11 @@ std::pair<TransId, bool> PAutomaton::add_transition(StateId from, EdgeLabel labe
             _transitions[last].next_same_key = id;
         }
         _transitions.push_back({from, to, label, std::move(weight), prov, k_no_trans, false});
-        _trans_from[from].push_back(id);
+        touch(from).trans_from.push_back(id);
         return {id, true};
     }
     // Set-labelled: linear scan over the (few) set edges out of `from`.
-    for (const auto id : _trans_from[from]) {
+    for (const auto id : transitions_from(from)) {
         auto& existing = _transitions[id];
         if (existing.to != to || existing.label.is_concrete()) continue;
         if (!(existing.label == label)) continue;
@@ -153,7 +147,7 @@ std::pair<TransId, bool> PAutomaton::add_transition(StateId from, EdgeLabel labe
     note_weight(weight);
     const TransId id = static_cast<TransId>(_transitions.size());
     _transitions.push_back({from, to, std::move(label), std::move(weight), prov, k_no_trans, false});
-    _trans_from[from].push_back(id);
+    touch(from).trans_from.push_back(id);
     return {id, true};
 }
 
@@ -176,8 +170,8 @@ std::pair<std::uint32_t, bool> PAutomaton::add_epsilon(StateId from, StateId to,
     }
     note_weight(weight);
     _epsilons.push_back({from, to, std::move(weight), prov, false});
-    _eps_by_target[to].push_back(id);
-    _eps_from[from].push_back(id);
+    touch(to).eps_into.push_back(id);
+    touch(from).eps_from.push_back(id);
     return {id, true};
 }
 
@@ -186,11 +180,11 @@ StateId PAutomaton::mid_state(StateId to, Symbol top) {
         return found;
     const auto state = add_state();
     _mid_states.try_emplace(pack(to, top), state);
-    // Mid-states are the only states created *during* saturation; their raw
+    // Mid-states are the only helpers created *during* saturation; their raw
     // id depends on discovery order, but their (owner, pushed-symbol)
     // identity does not.  The high bit sorts them after every
     // pre-saturation state.
-    _canonical_key[state] = (std::uint64_t{1} << 63) | pack(to, top);
+    _helpers[state - k_first_helper].key = (std::uint64_t{1} << 63) | pack(to, top);
     return state;
 }
 

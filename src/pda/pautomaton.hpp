@@ -3,6 +3,11 @@
 // PDA control state.  A configuration (p, γ₁…γₙ) is accepted iff the word
 // γ₁…γₙ (top first) is read from state p to a final state.
 //
+// Ids below k_first_helper are PDA states, so the PDA may gain states while
+// an automaton over it saturates (a lazy translation creates op-chain
+// interiors on demand); the automaton's own states — header-NFA copies and
+// post* push mid-states — are numbered from k_first_helper upward.
+//
 // The `post*`/`pre*` saturation procedures (solver.hpp) grow a P-automaton
 // in place; every transition carries the best weight found so far and a
 // provenance record from which witness rule sequences are reconstructed.
@@ -24,6 +29,9 @@ namespace aalwines::pda {
 
 using TransId = std::uint32_t;
 inline constexpr TransId k_no_trans = UINT32_MAX;
+
+/// First id of a P-automaton's own (non-PDA) states.
+inline constexpr StateId k_first_helper = StateId{1} << 31;
 
 /// Label of a P-automaton edge: one symbol or a symbol set.
 struct EdgeLabel {
@@ -118,18 +126,30 @@ struct EpsTransition {
 
 class PAutomaton {
 public:
-    /// States [0, pda.state_count()) mirror the PDA control states.
-    explicit PAutomaton(const Pda& pda);
+    /// Every PDA state, present and future, is a state of the automaton; its
+    /// per-state tables are allocated when a transition first touches it.
+    explicit PAutomaton(const Pda& pda) : _pda(&pda) {}
 
     [[nodiscard]] const Pda& pda() const noexcept { return *_pda; }
 
+    /// A fresh helper state (id k_first_helper + helper_count()).
     StateId add_state();
     void set_final(StateId state, bool final = true);
-    [[nodiscard]] bool is_final(StateId state) const { return _final[state]; }
-    [[nodiscard]] bool is_control_state(StateId state) const noexcept {
-        return state < _control_count;
+    [[nodiscard]] bool is_final(StateId state) const { return data(state).final; }
+    [[nodiscard]] static bool is_control_state(StateId state) noexcept {
+        return state < k_first_helper;
     }
-    [[nodiscard]] std::size_t state_count() const noexcept { return _trans_from.size(); }
+    /// A PDA state, or a helper this automaton created.
+    [[nodiscard]] bool has_state(StateId state) const noexcept {
+        return is_control_state(state) ? state < _pda->state_count()
+                                       : state - k_first_helper < _helpers.size();
+    }
+    [[nodiscard]] std::size_t helper_count() const noexcept { return _helpers.size(); }
+
+    /// Allocate the tables of every state the PDA has now, so no later insert
+    /// reallocates them.  pre* calls this once the PDA is whole; it holds
+    /// references into the tables across inserts.
+    void cover_pda_states();
 
     /// Insert or relax a transition.  Returns {id, improved}: `improved` is
     /// true when the transition is new or its weight strictly decreased
@@ -148,13 +168,13 @@ public:
     [[nodiscard]] std::size_t epsilon_count() const noexcept { return _epsilons.size(); }
 
     [[nodiscard]] const std::vector<TransId>& transitions_from(StateId state) const {
-        return _trans_from[state];
+        return data(state).trans_from;
     }
     [[nodiscard]] const std::vector<std::uint32_t>& epsilons_into(StateId state) const {
-        return _eps_by_target[state];
+        return data(state).eps_into;
     }
     [[nodiscard]] const std::vector<std::uint32_t>& epsilons_from(StateId state) const {
-        return _eps_from[state];
+        return data(state).eps_from;
     }
 
     /// The shared mid-state q_{p,γ} for post* push rules targeting (to, top).
@@ -165,8 +185,10 @@ public:
     // Raw ids (StateId of mid-states, TransId, RuleId under lazy
     // materialization) depend on discovery order.  The keys below are pure
     // functions of *content* instead:
-    //   state   → its pre-saturation id (those are deterministic), or for a
-    //             saturation-created mid-state its (owner, symbol) identity;
+    //   state   → its id for a PDA state or a pre-saturation helper (those
+    //             are deterministic, and helpers sort after PDA states), or
+    //             for a saturation-created mid-state its (owner, symbol)
+    //             identity;
     //   rule    → (from, precondition, match-list position), see
     //             Pda::rule_canonical_key;
     //   trans/ε → the (canonical from, canonical to, label) triple.
@@ -185,7 +207,7 @@ public:
 
     /// Stable content key of a state (see above); sortable, run-independent.
     [[nodiscard]] std::uint64_t canonical_state(StateId state) const noexcept {
-        return _canonical_key[state];
+        return is_control_state(state) ? state : _helpers[state - k_first_helper].key;
     }
 
     /// Total orders on transition/ε identities and provenance records.
@@ -205,6 +227,14 @@ public:
     }
 
 private:
+    struct StateData {
+        std::vector<TransId> trans_from;
+        std::vector<std::uint32_t> eps_into;
+        std::vector<std::uint32_t> eps_from;
+        std::uint64_t key = 0; ///< helpers only, see canonical_state
+        bool final = false;
+    };
+
     [[nodiscard]] static std::uint64_t pack(StateId hi, std::uint32_t lo) noexcept {
         return (static_cast<std::uint64_t>(hi) << 32) | lo;
     }
@@ -215,19 +245,29 @@ private:
             _all_weights_scalar = false;
         }
     }
+    /// Read view: a PDA state no transition has touched yet has empty tables.
+    [[nodiscard]] const StateData& data(StateId state) const {
+        if (!is_control_state(state)) return _helpers[state - k_first_helper];
+        return state < _control.size() ? _control[state] : k_untouched;
+    }
+    /// Write view; allocates a PDA state's tables on first touch, which may
+    /// move every other PDA state's tables.
+    [[nodiscard]] StateData& touch(StateId state) {
+        if (!is_control_state(state)) return _helpers[state - k_first_helper];
+        if (state >= _control.size()) _control.resize(state + 1);
+        return _control[state];
+    }
+
+    static const StateData k_untouched;
 
     const Pda* _pda;
-    std::size_t _control_count;
-    std::vector<bool> _final;
     std::vector<Transition> _transitions;
     std::vector<EpsTransition> _epsilons;
-    std::vector<std::vector<TransId>> _trans_from;
-    std::vector<std::vector<std::uint32_t>> _eps_by_target;
-    std::vector<std::vector<std::uint32_t>> _eps_from;
+    std::vector<StateData> _control; ///< PDA states [0, size), grown on touch
+    std::vector<StateData> _helpers; ///< ids k_first_helper + index
     util::FlatMap64 _concrete_heads; ///< (from,symbol) → head of next_same_key chain
     util::FlatMap64 _eps_index;      ///< (from,to) → ε id
     util::FlatMap64 _mid_states;     ///< (to,top) → state
-    std::vector<std::uint64_t> _canonical_key; ///< per state, see canonical_state
     bool _all_weights_scalar = true;
     bool _canonical_tiebreaks = false;
     std::uint64_t _max_scalar_weight = 0;

@@ -209,9 +209,9 @@ void Pda::request(StateId state, const Demand& demand) const {
 
 void Pda::materialize_all() const {
     if (_provider == nullptr) return;
-    // Chain interiors are completed together with the control state that
-    // owns their chain, so iterating every state in id order leaves exactly
-    // the never-demanded pool states as no-ops.
+    // The loop re-reads state_count(): the provider creates chain interiors
+    // as it emits, complete at birth, so they are skipped.  Interiors a
+    // rebase invalidated are no-op demands.
     for (StateId s = 0; s < state_count(); ++s)
         if (_coverage[s] != Coverage::All) request(s, {});
 }

@@ -117,12 +117,9 @@ struct Demand {
 ///     provider that emits one from a lazily demanded state must track it
 ///     so it is emitted once (the translation emits those only from chain
 ///     interiors, which are complete from the start);
-///   - the provider may fill *other* states as a side effect (an op chain's
-///     interior states are emitted together with the chain) and must mark
-///     them with `Pda::mark_materialized` so they are not asked again;
-///   - all states must exist before the provider is attached — materializing
-///     never adds states (saturation shares the state id space with the
-///     P-automaton's helper states, so the PDA cannot grow mid-run).
+///   - the provider may add states while it emits (an op chain's interior
+///     states are created together with the chain) and must mark them with
+///     `Pda::mark_materialized` so they are not asked again.
 class RuleProvider {
 public:
     virtual ~RuleProvider() = default;
@@ -138,8 +135,8 @@ public:
     StateId add_state() {
         _match_by_state.emplace_back();
         if (_provider != nullptr) {
-            // Keep the lazy bookkeeping in step (only legal while no rule
-            // references the new state yet — see RuleProvider contract).
+            // Keep the lazy bookkeeping in step (a provider adds states
+            // mid-saturation — see RuleProvider).
             _coverage.push_back(Coverage::None);
             _generation.push_back(0);
             _swaps_into.emplace_back();
@@ -274,7 +271,7 @@ public:
     /// `for_each_applicable` materializes the (state, top symbol) slices it
     /// reads on first use, and the per-target swap/push index is filled
     /// incrementally as rules arrive (so it is never rebuilt by a whole-PDA
-    /// scan).  Must be called after every state exists and before any rule.
+    /// scan).  Must be called before any rule.
     /// `weights_scalar_hint` pre-seeds `all_weights_scalar()` — the
     /// bucketed-worklist decision is made before any rule has materialized,
     /// so the provider must declare whether every rule it will ever emit

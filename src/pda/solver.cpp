@@ -303,6 +303,9 @@ AALWINES_HOT_PATH void pre_star_loop(PAutomaton& aut, const SolverOptions& optio
     // materialization (build_target_index materializes, and its per-target
     // index was already filled incrementally by add_rule).
     pda.build_target_index();
+    // pre* adds no state from here on (the PDA is whole, and mid-states are
+    // post*'s), so the automaton's tables and `partials` can be sized once.
+    aut.cover_pda_states();
 
     auto enqueue_trans = [&](TransId id) {
         ++stats.relaxations;
@@ -310,8 +313,15 @@ AALWINES_HOT_PATH void pre_star_loop(PAutomaton& aut, const SolverOptions& optio
     };
 
     // Push rules whose first written symbol matched a transition into state
-    // `m` wait there for a matching second transition out of `m`.
-    std::vector<std::vector<std::pair<RuleId, TransId>>> partials(aut.state_count());
+    // `m` wait there for a matching second transition out of `m`.  Helpers
+    // index after the PDA's states.
+    std::vector<std::vector<std::pair<RuleId, TransId>>> partials(pda.state_count() +
+                                                                  aut.helper_count());
+    const auto partials_of = [&](StateId state) -> auto& {
+        return partials[aut.is_control_state(state)
+                            ? state
+                            : pda.state_count() + (state - k_first_helper)];
+    };
 
     for (TransId id = 0; id < aut.transition_count(); ++id) enqueue_trans(id);
     for (RuleId id = 0; id < pda.rule_slot_count(); ++id) {
@@ -355,7 +365,7 @@ AALWINES_HOT_PATH void pre_star_loop(PAutomaton& aut, const SolverOptions& optio
 
         // Rules can only target PDA control states; transitions leaving
         // automaton-only helper states never match a rule's right-hand side.
-        if (trans.from < pda.state_count()) {
+        if (aut.is_control_state(trans.from)) {
             // Swap rules p γ → q γ' with q == trans.from and γ' in the label.
             for (const auto rule_id : pda.swaps_into(trans.from)) {
                 const auto& rule = pda.rule(rule_id);
@@ -370,7 +380,7 @@ AALWINES_HOT_PATH void pre_star_loop(PAutomaton& aut, const SolverOptions& optio
             for (const auto rule_id : pda.pushes_into(trans.from)) {
                 const auto& rule = pda.rule(rule_id);
                 if (!trans.label.contains(rule.label1)) continue;
-                partials[trans.to].push_back({rule_id, item.id});
+                partials_of(trans.to).push_back({rule_id, item.id});
                 const auto& outgoing = aut.transitions_from(trans.to);
                 for (std::size_t i = 0; i < outgoing.size(); ++i) {
                     if (aut.transition(outgoing[i]).finalized)
@@ -379,7 +389,7 @@ AALWINES_HOT_PATH void pre_star_loop(PAutomaton& aut, const SolverOptions& optio
             }
         }
         // This transition as the second written symbol of pending pushes.
-        const auto pending = partials[trans.from]; // copy: may grow during iteration
+        const auto pending = partials_of(trans.from); // copy: may grow during iteration
         for (const auto& [rule_id, t1_id] : pending) try_complete(rule_id, t1_id, item.id);
 
         if (options.max_iterations != 0 && stats.iterations >= options.max_iterations) {

@@ -284,7 +284,6 @@ Report check_pda(const pda::Pda& pda) {
 
 Report check_pautomaton(const pda::PAutomaton& automaton) {
     Report report;
-    const auto states = automaton.state_count();
     const auto rule_count = automaton.pda().rule_count();
     const auto trans_count = automaton.transition_count();
     const auto eps_count = automaton.epsilon_count();
@@ -312,7 +311,7 @@ Report check_pautomaton(const pda::PAutomaton& automaton) {
     for (pda::TransId id = 0; id < trans_count; ++id) {
         const auto& trans = automaton.transition(id);
         const auto where = "transition " + std::to_string(id);
-        if (trans.from >= states || trans.to >= states) {
+        if (!automaton.has_state(trans.from) || !automaton.has_state(trans.to)) {
             report.error("pautomaton", where + ": dangling endpoint");
             continue;
         }
@@ -326,7 +325,7 @@ Report check_pautomaton(const pda::PAutomaton& automaton) {
     for (std::uint32_t id = 0; id < eps_count; ++id) {
         const auto& eps = automaton.epsilon(id);
         const auto where = "epsilon " + std::to_string(id);
-        if (eps.from >= states || eps.to >= states) {
+        if (!automaton.has_state(eps.from) || !automaton.has_state(eps.to)) {
             report.error("pautomaton", where + ": dangling endpoint");
             continue;
         }
@@ -341,7 +340,7 @@ Report check_pautomaton(const pda::PAutomaton& automaton) {
 
     // The per-state transition index must partition the transition set.
     std::size_t listed = 0;
-    for (pda::StateId state = 0; state < states; ++state) {
+    const auto check_index = [&](pda::StateId state) {
         for (const auto id : automaton.transitions_from(state)) {
             ++listed;
             if (id >= trans_count) {
@@ -357,7 +356,11 @@ Report check_pautomaton(const pda::PAutomaton& automaton) {
                                                " but leaves state " +
                                                std::to_string(automaton.transition(id).from));
         }
-    }
+    };
+    for (pda::StateId state = 0; state < automaton.pda().state_count(); ++state)
+        check_index(state);
+    for (std::size_t i = 0; i < automaton.helper_count(); ++i)
+        check_index(static_cast<pda::StateId>(pda::k_first_helper + i));
     if (listed != trans_count)
         report.error("pautomaton", "state indexes list " + std::to_string(listed) +
                                        " transitions, automaton has " +

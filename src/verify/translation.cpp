@@ -108,6 +108,7 @@ Translation::Translation(const Network& network, const query::Query& query,
         _total_rules = _pda->rule_count();
         telemetry::count(telemetry::Counter::pda_rules_emitted, _pda->rule_count());
     }
+    // Lazily, chain interiors are counted as materialize() creates them.
     telemetry::count(telemetry::Counter::pda_states_interned, _pda->state_count());
     telemetry::count(telemetry::Counter::pda_rules_total, _total_rules);
 }
@@ -194,24 +195,20 @@ void Translation::build_move_index() {
                 _moves_by_link[link].emplace_back(q, edge.target);
 }
 
-/// Counting sink for walk_chain: tallies the rules and interior states a
-/// chain would create without touching the PDA.  Must mirror EmitSink's
-/// control flow exactly — the lazy interior pool is sized from these counts.
+/// Counting sink for walk_chain: tallies the rules a chain would emit
+/// without touching the PDA — the lazy eager-equivalent rule total.
 struct Translation::CountSink {
     std::size_t rules = 0;
-    std::size_t interiors = 0;
-    void step(std::size_t /*index*/, bool last) {
-        if (!last) ++interiors;
-    }
+    void step(std::size_t /*index*/, bool /*last*/) {}
     void rule(pda::PreSpec /*pre*/, pda::Rule::OpKind /*op*/, pda::Symbol /*l1*/,
               pda::Symbol /*l2*/) {
         ++rules;
     }
 };
 
-/// Emitting sink for walk_chain: allocates interior states (from the lazy
-/// pool or by growing the PDA) and adds the rules.  The step weight and
-/// trace tag ride on the first rule of the chain only.
+/// Emitting sink for walk_chain: creates interior states and adds the
+/// rules.  The step weight and trace tag ride on the first rule of the
+/// chain only.
 struct Translation::EmitSink {
     Translation& t;
     pda::StateId from;
@@ -262,10 +259,9 @@ void Translation::walk_chain(Label top, const std::vector<Op>& ops, Sink& sink) 
     TopDescriptor desc = TopDescriptor::of(top);
     for (std::size_t i = 0; i < ops.size(); ++i) {
         const auto& op = ops[i];
-        // The interior state (when not last) is allocated before the
+        // The interior state (when not last) is created before the
         // applicability check, matching the historical emission order —
-        // chains that die mid-walk still consume their interiors, and the
-        // counting pass must agree on that.
+        // chains that die mid-walk still create their interiors.
         sink.step(i, i + 1 == ops.size());
 
         if (desc.is_known()) {
@@ -349,20 +345,9 @@ void Translation::walk_chain(Label top, const std::vector<Op>& ops, Sink& sink) 
 }
 
 pda::StateId Translation::new_chain_state() {
-    if (_lazy) {
-        // Saturation has already handed out P-automaton helper ids above
-        // state_count(), so interiors must come from the pre-allocated pool
-        // ranges (one per construction/rebase), consumed in order.
-        while (_pool_cursor < _pools.size() &&
-               _pools[_pool_cursor].first == _pools[_pool_cursor].second)
-            ++_pool_cursor;
-        AALWINES_ASSERT(_pool_cursor < _pools.size(), "chain-interior pool exhausted");
-        const auto state = _pools[_pool_cursor].first++;
-        _pda->mark_materialized(state); // interiors have no rules of their own
-        return state;
-    }
     const auto state = _pda->add_state();
     _control_info.push_back({k_invalid_id, 0, 0, true});
+    if (_lazy) _pda->mark_materialized(state); // never demanded on its own
     return state;
 }
 
@@ -392,53 +377,35 @@ void Translation::build_entry_index() {
     });
 }
 
-void Translation::count_link(LinkId in_link, LinkLoad& load) const {
+std::size_t Translation::count_link(LinkId in_link) const {
     const auto k = _query->max_failures;
+    std::size_t rules = 0;
     for (const auto& [label, entry] : _entries_by_link[in_link]) {
         for_entry_rules(in_link, *entry,
                         [&](const ForwardingRule& rule, std::uint64_t local_failures) {
             // One rule-free chain walk per (entry, forwarding rule): the
-            // chain's shape depends only on (top label, ops), so its counts
-            // multiply across the path-NFA moves and failure slots.
+            // chain's shape depends only on (top label, ops), so its count
+            // multiplies across the path-NFA moves and failure slots.
             CountSink counts;
             walk_chain(label, rule.ops, counts);
             std::size_t slots = 1;
             if (_options.approximation == Approximation::Under)
                 slots = static_cast<std::size_t>(k - local_failures) + 1;
-            const auto copies = _moves_by_link[rule.out_link].size() * slots;
-            load.rules += counts.rules * copies;
-            load.interiors += counts.interiors * copies;
+            rules += counts.rules * _moves_by_link[rule.out_link].size() * slots;
         });
     }
+    return rules;
 }
 
 void Translation::build_lazy_index() {
     AALWINES_SPAN("build_lazy_index");
     build_entry_index();
     const auto n_links = _network->topology.link_count();
-    _link_load.assign(n_links, {});
-    std::size_t total_rules = 0;
-    std::size_t total_interiors = 0;
+    _link_rules.assign(n_links, 0);
     for (LinkId l = 0; l < n_links; ++l) {
-        count_link(l, _link_load[l]);
-        total_rules += _link_load[l].rules;
-        total_interiors += _link_load[l].interiors;
+        _link_rules[l] = count_link(l);
+        _total_rules += _link_rules[l];
     }
-    _total_rules = total_rules;
-    // Pre-allocate the chain-interior pool: materialization must never add
-    // PDA states (the P-automaton's helper states share the id space), so
-    // every interior an eager build would create exists up front.  The
-    // counting pass is exact, which the equivalence tests pin down by
-    // asserting the pool is fully consumed after materialize_all().
-    const auto begin = static_cast<pda::StateId>(_pda->state_count());
-    _pda->reserve_states(_pda->state_count() + total_interiors);
-    _control_info.reserve(_control_info.size() + total_interiors);
-    for (std::size_t i = 0; i < total_interiors; ++i) {
-        _pda->add_state();
-        _control_info.push_back({k_invalid_id, 0, 0, true});
-    }
-    _pools.assign(1, {begin, static_cast<pda::StateId>(_pda->state_count())});
-    _pool_cursor = 0;
 }
 
 template <typename RuleFn>
@@ -518,9 +485,11 @@ void Translation::add_entry_rules(LinkId in_link, Label label, const RoutingEntr
 
 void Translation::materialize(pda::Pda& pda, pda::StateId state, const pda::Demand& demand) {
     AALWINES_ASSERT(&pda == _pda.get(), "provider bound to a different PDA");
-    const auto& info = _control_info[state];
+    // A copy: emitting chains appends interiors to _control_info.
+    const auto info = _control_info[state];
     if (info.chain) return; // interiors were emitted with their owning chain
     const auto& bucket = _entries_by_link[info.link];
+    const auto states_before = pda.state_count();
     const auto emit = [&](Label label, const RoutingEntry& entry) {
         add_entry_rules(info.link, label, entry, info.nfa_state, info.failures);
     };
@@ -531,17 +500,19 @@ void Translation::materialize(pda::Pda& pda, pda::StateId state, const pda::Dema
                 bucket.begin(), bucket.end(), demand.symbol,
                 [](const auto& entry, Label label) { return entry.first < label; });
             if (it != bucket.end() && it->first == demand.symbol) emit(it->first, *it->second);
-            return;
+            break;
         }
         case pda::Demand::Kind::Set:
             for (const auto& [label, entry] : bucket)
                 if (demand.set->contains(label) && pda.claim(state, label)) emit(label, *entry);
-            return;
+            break;
         case pda::Demand::Kind::All:
             for (const auto& [label, entry] : bucket)
                 if (!pda.claimed(state, label)) emit(label, *entry);
-            return;
+            break;
     }
+    telemetry::count(telemetry::Counter::pda_states_interned,
+                     pda.state_count() - states_before);
 }
 
 void Translation::add_chain(pda::StateId from, Label top, const ForwardingRule& rule,
@@ -660,28 +631,12 @@ void Translation::rebase(const Network& network, const std::vector<bool>& dirty,
     _pda->invalidate_states(
         heads, [this](pda::StateId s) { return _control_info[s].chain; });
 
-    // Recount the affected links against the new table; adjust the
-    // eager-equivalent total and grow the interior pool by their full new
-    // contribution (see the telescoping argument at _pools).
-    std::size_t new_interiors = 0;
+    // Recount the affected links against the new table.
     for (LinkId l = 0; l < affected.size(); ++l) {
         if (!affected[l]) continue;
-        LinkLoad load;
-        count_link(l, load);
-        _total_rules -= _link_load[l].rules;
-        _total_rules += load.rules;
-        new_interiors += load.interiors;
-        _link_load[l] = load;
-    }
-    if (new_interiors > 0) {
-        const auto begin = static_cast<pda::StateId>(_pda->state_count());
-        _pda->reserve_states(_pda->state_count() + new_interiors);
-        _control_info.reserve(_control_info.size() + new_interiors);
-        for (std::size_t i = 0; i < new_interiors; ++i) {
-            _pda->add_state();
-            _control_info.push_back({k_invalid_id, 0, 0, true});
-        }
-        _pools.emplace_back(begin, static_cast<pda::StateId>(_pda->state_count()));
+        _total_rules -= _link_rules[l];
+        _link_rules[l] = count_link(l);
+        _total_rules += _link_rules[l];
     }
 
     compute_initial_states();

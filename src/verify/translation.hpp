@@ -88,11 +88,11 @@ struct TranslationOptions {
     /// label): TE-group expansion × path-NFA moves × failure slots,
     /// including the op chains — are generated when post* first pops a
     /// transition out of that state reading that label (pre* demands all
-    /// labels up front).  Chain-interior states are pre-allocated from an
-    /// exactly-sized pool (a rule-free counting pass over the routing
-    /// table), so the state space is fixed up front and the P-automaton can
-    /// share the id space safely.  reduce() becomes a no-op: the demand
-    /// filter subsumes the top-of-stack pass (see reduction.cpp).
+    /// labels up front).  A chain's interior states are created when the
+    /// chain materializes, so the PDA starts with its control states only;
+    /// the P-automaton numbers its own states apart (pda::k_first_helper).
+    /// reduce() becomes a no-op: the demand filter subsumes the top-of-stack
+    /// pass (see reduction.cpp).
     bool lazy = false;
 };
 
@@ -145,9 +145,11 @@ public:
     /// forward over a behavior-dirty link — are un-materialized together
     /// with their chain interiors, the per-link entry index is rebuilt over
     /// the new routing table (the copy-on-write snapshot reallocates every
-    /// entry), the interior pool grows by the affected links' new
-    /// contribution, and the initial states are recomputed (a down link
-    /// never starts a trace).  The next saturation re-demands exactly the
+    /// entry), the affected links' eager-equivalent rule counts are redone,
+    /// and the initial states are recomputed (a down link never starts a
+    /// trace).  No state is added: re-emitted chains create fresh interiors
+    /// when they materialize, and the invalidated ones stay behind as inert,
+    /// rule-less states.  The next saturation re-demands exactly the
     /// invalidated frontier; by the match-order argument in
     /// pda::Pda::invalidate_states the answer is byte-identical to a cold
     /// recompile against the patched network.
@@ -242,14 +244,10 @@ private:
     /// per-state rule sequences identical to a cold build.
     void build_entry_index();
     /// Lazy construction: per-link routing entry index + the counting pass
-    /// sizing the chain-state pool and the eager-equivalent rule total.
+    /// behind the eager-equivalent rule total.
     void build_lazy_index();
-    /// Eager-equivalent rule/interior counts of one in-link's entries.
-    struct LinkLoad {
-        std::size_t rules = 0;
-        std::size_t interiors = 0;
-    };
-    void count_link(LinkId in_link, LinkLoad& load) const;
+    /// Eager-equivalent rule count of one in-link's entries.
+    [[nodiscard]] std::size_t count_link(LinkId in_link) const;
     /// Links whose control states a rebase must invalidate: the link itself
     /// is dirty, or one of its entries forwards over a behavior-dirty link
     /// (out-link state/distance changes alter the emitted rules or their
@@ -278,9 +276,9 @@ private:
     struct CountSink;
     void add_chain(pda::StateId from, Label top, const ForwardingRule& rule,
                    pda::StateId target, pda::Weight weight, std::uint32_t tag);
-    /// A fresh chain-interior state: allocated eagerly, or drawn from the
-    /// pre-sized pool in lazy mode (and marked materialized — its rules are
-    /// emitted with the chain that owns it).
+    /// A fresh chain-interior state, in eager and lazy mode alike (lazily
+    /// it is marked materialized: its rules are emitted with the chain that
+    /// owns it).
     [[nodiscard]] pda::StateId new_chain_state();
     [[nodiscard]] pda::Weight make_step_weight(const ForwardingRule& rule,
                                                std::uint64_t local_failures) const;
@@ -328,19 +326,9 @@ private:
     /// they leave every routing entry untouched — so sweeping a scenario
     /// axis pays the O(rules) build exactly once).
     mutable std::vector<std::vector<LinkId>> _links_into;
-    /// Per-link eager-equivalent counts behind `_total_rules` and the pool
-    /// size, kept so a rebase can adjust both by recounting only the
-    /// affected links.
-    std::vector<LinkLoad> _link_load;
-    /// Chain-interior state pool: half-open [first, second) ranges consumed
-    /// in order.  Construction allocates one exactly-sized range; each
-    /// rebase appends a fresh (non-contiguous) range covering the affected
-    /// links' full new contribution — unconsumed slack telescopes, so the
-    /// pool always suffices while interiors of invalidated chains leak as
-    /// inert rule-less states (they only inflate the state count, never an
-    /// answer).  Materialization never adds PDA states mid-saturation.
-    std::vector<std::pair<pda::StateId, pda::StateId>> _pools;
-    std::size_t _pool_cursor = 0;
+    /// Per-link eager-equivalent rule counts behind `_total_rules`, kept so
+    /// a rebase can adjust it by recounting only the affected links.
+    std::vector<std::size_t> _link_rules;
 };
 
 /// Memoizes the network→PDA translation across the over/under dual passes

@@ -21,6 +21,7 @@
 #include "delta/reverify.hpp"
 #include "io/results_json.hpp"
 #include "json/json.hpp"
+#include "pda/solver.hpp"
 #include "query/query.hpp"
 #include "synthesis/dataplane.hpp"
 #include "synthesis/networks.hpp"
@@ -28,6 +29,7 @@
 #include "util/errors.hpp"
 #include "verify/engine.hpp"
 #include "verify/sweep.hpp"
+#include "verify/translation.hpp"
 
 namespace aalwines::delta {
 namespace {
@@ -442,6 +444,53 @@ TEST(Reverifier, AgreesWithASweepCell) {
         EXPECT_EQ(canonical(snapshot, k_fig1_yes, cell.result),
                   canonical(snapshot, k_fig1_yes, patched.result));
     }
+}
+
+// ---- translation rebase ------------------------------------------------
+
+/// A rebase adds no PDA state: chains it re-arms create their interiors
+/// when they materialize again.  The 1-failure query materializes v2's in1
+/// entry for label 20, whose priority-2 rule is a two-op chain; the delta
+/// adds a second two-op chain to the same entry.  After re-saturating, the
+/// rebased translation answers like a cold one over the patched snapshot.
+TEST(TranslationRebase, AddsNoPdaState) {
+    constexpr const char* query_text = "<ip> [.#v0] .* [v3#.] <ip> 1";
+    const auto base = synthesis::make_figure1_network();
+    const auto query = query::parse_query(query_text, base);
+    const auto in1 = *base.topology.in_link_through(*base.topology.find_router("v2"), "in1");
+    verify::TranslationCache cache(base, query, nullptr, /*lazy=*/true);
+    auto& translation = cache.translation(verify::Approximation::Over);
+    const auto control_states =
+        cache.nfas().path.size() * base.topology.link_count(); // one failure slot
+    auto before = translation.make_initial_automaton();
+    pda::post_star(before);
+    verify::LinkFootprint footprint;
+    translation.add_to_footprint(footprint);
+    ASSERT_TRUE(footprint.materialized[in1]);
+    const auto states = translation.pda().state_count();
+    ASSERT_GT(states, control_states); // the chain's interiors exist
+
+    const auto applied = apply_delta(base, parse_delta(R"({"operations": [
+        {"op": "add-rule", "router": "v2", "from": "in1", "label": "20", "type": "smpls",
+         "to": "e5", "ops": [{"op": "swap", "label": "21", "type": "smpls"},
+                             {"op": "push", "label": "30"}]}]})"));
+    ASSERT_EQ(applied.effects.entry_links, std::vector<LinkId>{in1});
+    std::vector<bool> dirty(base.topology.link_count(), false);
+    dirty[in1] = true;
+    cache.rebase(*applied.network, dirty, {});
+    EXPECT_EQ(translation.pda().state_count(), states);
+
+    const auto accepted = [&](verify::Translation& t) {
+        auto aut = t.make_initial_automaton();
+        pda::post_star(aut);
+        return pda::find_accepted(aut, t.accepting_states(), t.final_header_nfa(),
+                                  static_cast<pda::Symbol>(applied.network->labels.size()));
+    };
+    const auto rebased = accepted(translation);
+    verify::TranslationCache cold_cache(*applied.network, query, nullptr, /*lazy=*/true);
+    const auto cold = accepted(cold_cache.translation(verify::Approximation::Over));
+    ASSERT_TRUE(rebased.has_value() && cold.has_value());
+    EXPECT_EQ(rebased->weight, cold->weight);
 }
 
 // ---- delta ≡ cold-recompile equivalence batteries --------------------

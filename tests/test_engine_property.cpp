@@ -27,8 +27,9 @@ Network random_network(std::mt19937_64& rng, std::size_t routers) {
     for (std::size_t i = 0; i < routers; ++i) topology.add_router("r" + std::to_string(i));
     std::size_t iface = 0;
     auto duplex = [&](RouterId a, RouterId b) {
-        topology.add_duplex(a, "i" + std::to_string(iface++), b,
-                            "i" + std::to_string(iface++));
+        const auto name_a = "i" + std::to_string(iface++);
+        const auto name_b = "i" + std::to_string(iface++);
+        topology.add_duplex(a, name_a, b, name_b);
     };
     for (std::size_t i = 0; i < routers; ++i)
         duplex(static_cast<RouterId>(i), static_cast<RouterId>((i + 1) % routers));

@@ -109,8 +109,9 @@ TEST_F(ExactEngine, DualNeverContradictsExactOnSynthesizedNetworks) {
             opts.engine = EngineKind::Exact;
             const auto exact = verify(network, query, opts);
             ASSERT_NE(exact.answer, Answer::Inconclusive) << text;
-            if (dual.answer != Answer::Inconclusive)
+            if (dual.answer != Answer::Inconclusive) {
                 EXPECT_EQ(dual.answer, exact.answer) << text;
+            }
         }
     }
 }

@@ -42,14 +42,55 @@ TEST(EdgeLabel, IntersectReturnsNulloptWhenEmpty) {
 TEST(PAutomaton, ControlStatesMirrorThePda) {
     const auto pda = two_state_pda();
     PAutomaton aut(pda);
-    EXPECT_EQ(aut.state_count(), 2u);
+    EXPECT_EQ(aut.helper_count(), 0u);
+    EXPECT_TRUE(aut.has_state(0));
+    EXPECT_TRUE(aut.has_state(1));
+    EXPECT_FALSE(aut.has_state(2));
     EXPECT_TRUE(aut.is_control_state(0));
     EXPECT_TRUE(aut.is_control_state(1));
     const auto extra = aut.add_state();
+    EXPECT_EQ(extra, k_first_helper);
+    EXPECT_EQ(aut.helper_count(), 1u);
     EXPECT_FALSE(aut.is_control_state(extra));
     EXPECT_FALSE(aut.is_final(extra));
     aut.set_final(extra);
     EXPECT_TRUE(aut.is_final(extra));
+}
+
+/// A lazy translation adds chain interiors to the PDA while an automaton
+/// over it saturates.  The late state is a control state with working
+/// tables, and it never collides with (or sorts after) a helper.
+TEST(PAutomaton, PdaMayGainStatesAfterConstruction) {
+    auto pda = two_state_pda();
+    PAutomaton aut(pda);
+    const auto q = aut.add_state();
+    const auto late = pda.add_state();
+    const auto q2 = aut.add_state();
+    EXPECT_TRUE(aut.has_state(late));
+    EXPECT_TRUE(aut.is_control_state(late));
+    EXPECT_NE(q, late);
+    EXPECT_NE(q2, late);
+    EXPECT_NE(q, q2);
+    EXPECT_FALSE(aut.is_final(late));
+    EXPECT_TRUE(aut.transitions_from(late).empty());
+
+    const auto [into, fresh_into] =
+        aut.add_transition(0, EdgeLabel::of(1), late, Weight::one(), {});
+    const auto [out, fresh_out] =
+        aut.add_transition(late, EdgeLabel::of(2), q2, Weight::one(), {});
+    const auto [eps, fresh_eps] = aut.add_epsilon(late, q, Weight::one(), {});
+    EXPECT_TRUE(fresh_into && fresh_out && fresh_eps);
+    EXPECT_EQ(aut.transition(into).to, late);
+    EXPECT_EQ(aut.transitions_from(late), std::vector<TransId>{out});
+    EXPECT_EQ(aut.epsilons_from(late), std::vector<std::uint32_t>{eps});
+    EXPECT_EQ(aut.epsilons_into(q), std::vector<std::uint32_t>{eps});
+    EXPECT_EQ(aut.transitions_from(0), std::vector<TransId>{into});
+
+    const auto mid = aut.mid_state(late, 3);
+    EXPECT_NE(mid, late);
+    for (const auto helper : {q, q2, mid})
+        for (StateId s = 0; s < pda.state_count(); ++s)
+            EXPECT_GT(aut.canonical_state(helper), aut.canonical_state(s));
 }
 
 TEST(PAutomaton, ConcreteTransitionsDeduplicate) {

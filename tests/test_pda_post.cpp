@@ -168,7 +168,9 @@ TEST(PostStar, IterationCapTruncates) {
     pda.add_rule({p0, p0, PreSpec::any(), Rule::OpKind::Push, B, k_same_symbol,
                   Weight::one(), 0});
     auto aut = automaton_for_configs(pda, {{p0, {A}}});
-    const auto stats = post_star(aut, {.max_iterations = 2});
+    SolverOptions options;
+    options.max_iterations = 2;
+    const auto stats = post_star(aut, options);
     EXPECT_TRUE(stats.truncated);
     EXPECT_LE(stats.iterations, 2u);
 }

@@ -350,8 +350,9 @@ TEST_P(PdaRandom, LazyProviderMatchesEagerSaturation) {
                 find_accepted(lazy_aut, starts, exact_word(target.second), alphabet);
             ASSERT_EQ(from_eager.has_value(), from_lazy.has_value())
                 << "seed " << GetParam() << " target state " << target.first;
-            if (from_eager && from_lazy)
+            if (from_eager && from_lazy) {
                 EXPECT_EQ(from_eager->weight, from_lazy->weight) << "seed " << GetParam();
+            }
 
             auto bwd_eager = automaton_for_configs(eager, {target});
             pre_star(bwd_eager);

@@ -170,7 +170,9 @@ TEST(Telemetry, HistogramBucketBoundaries) {
     for (std::uint64_t v : {0ull, 1ull, 7ull, 100ull, 12345ull, (1ull << 40) + 17}) {
         const auto b = histogram_bucket(v);
         EXPECT_LE(v, histogram_bucket_upper(b)) << v;
-        if (b > 0) EXPECT_GT(v, histogram_bucket_upper(b - 1)) << v;
+        if (b > 0) {
+            EXPECT_GT(v, histogram_bucket_upper(b - 1)) << v;
+        }
     }
 }
 

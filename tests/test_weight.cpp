@@ -82,7 +82,9 @@ TEST(WeightProperty, SemiringLaws) {
         // Monotonicity: x <= x ⊗ y for non-negative weights.
         EXPECT_LE(a, extend(a, b));
         // Monotone in both arguments: a <= b implies a⊗c <= b⊗c.
-        if (a <= b) EXPECT_LE(extend(a, c), extend(b, c));
+        if (a <= b) {
+            EXPECT_LE(extend(a, c), extend(b, c));
+        }
     }
 }
 

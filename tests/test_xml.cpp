@@ -53,7 +53,7 @@ TEST(XmlParser, RejectsUnterminatedTag) {
 
 TEST(XmlParser, ReportsErrorPosition) {
     try {
-        parse("<a>\n  <b>\n</a>");
+        (void)parse("<a>\n  <b>\n</a>");
         FAIL() << "expected parse_error";
     } catch (const parse_error& error) {
         EXPECT_GE(error.where().line, 3u);
