@@ -24,6 +24,7 @@
 #include "synthesis/queries.hpp"
 #include "telemetry/telemetry.hpp"
 #include "verify/engine.hpp"
+#include "verify/translation.hpp"
 
 namespace aalwines::bench {
 
@@ -56,17 +57,21 @@ inline void record_sample(std::string label, double seconds, verify::Answer answ
     store.samples.push_back({std::move(label), seconds, std::string(to_string(answer))});
 }
 
-/// Translation mode for every run_engine call, from the environment:
-/// AALWINES_BENCH_TRANSLATION = lazy | eager | auto (default auto — the
-/// production per-engine default).  Lets scripts/bench-ci run one binary
-/// under both modes without doubling the registered case list.
-inline verify::TranslationMode env_translation_mode() {
-    const char* value = std::getenv("AALWINES_BENCH_TRANSLATION");
-    if (value == nullptr) return verify::TranslationMode::Auto;
-    const std::string_view mode(value);
-    if (mode == "lazy") return verify::TranslationMode::Lazy;
-    if (mode == "eager") return verify::TranslationMode::Eager;
-    return verify::TranslationMode::Auto;
+/// verify(), except that with AALWINES_BENCH_TRANSLATION=eager in the
+/// environment the dual and weighted engines run on the eager reference
+/// build (a fresh eager TranslationCache per call, as verify() builds its
+/// own lazy one).  Lets scripts/bench-ci run one binary both ways without
+/// doubling the registered case list.
+inline verify::VerifyResult bench_verify(const Network& network, const query::Query& query,
+                                         const verify::VerifyOptions& options) {
+    const char* mode = std::getenv("AALWINES_BENCH_TRANSLATION");
+    const bool native = options.engine == verify::EngineKind::Dual ||
+                        options.engine == verify::EngineKind::Weighted;
+    if (!native || mode == nullptr || std::string_view(mode) != "eager")
+        return verify::verify(network, query, options);
+    verify::TranslationCache eager(network, query, verify::translation_weights(options),
+                                   /*lazy=*/false);
+    return verify::verify(network, query, options, eager);
 }
 
 inline RunOutcome run_engine(const Network& network, const query::Query& query,
@@ -76,9 +81,8 @@ inline RunOutcome run_engine(const Network& network, const query::Query& query,
     options.engine = engine;
     options.weights = weights;
     options.max_iterations = max_iterations;
-    options.translation = env_translation_mode();
     const auto start = std::chrono::steady_clock::now();
-    const auto result = verify::verify(network, query, options);
+    const auto result = bench_verify(network, query, options);
     const auto seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
     record_sample(std::string(to_string(engine)) + ":" + query.text, seconds,

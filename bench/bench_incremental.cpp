@@ -123,7 +123,7 @@ std::string canonical_result(const Network& network, const std::string& query_te
 struct Instance {
     synthesis::SyntheticNetwork net;
     std::string query_text;
-    cli::VerifySpec spec; ///< defaults: dual engine, auto (=lazy) translation
+    cli::VerifySpec spec; ///< defaults: dual engine, lazy translation
 };
 
 Instance make_instance(std::size_t chains) {

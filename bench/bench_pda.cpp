@@ -147,11 +147,9 @@ void nordunet_scaling(benchmark::State& state) {
     const auto net = synthesis::make_nordunet_like(chains, 1);
     const auto queries = synthesis::make_table1_queries(net);
     const auto query = query::parse_query(queries[0], net.network);
-    verify::VerifyOptions options;
-    options.translation = bench::env_translation_mode();
     verify::VerifyResult last;
     for (auto _ : state) {
-        last = verify::verify(net.network, query, options);
+        last = bench::bench_verify(net.network, query, {});
         benchmark::DoNotOptimize(last);
     }
     state.counters["rules"] = static_cast<double>(net.network.routing.rule_count());
@@ -170,7 +168,6 @@ void nordunet_scaling_moped(benchmark::State& state) {
     const auto query = query::parse_query(queries[0], net.network);
     verify::VerifyOptions options;
     options.engine = verify::EngineKind::Moped;
-    options.translation = bench::env_translation_mode();
     for (auto _ : state) {
         benchmark::DoNotOptimize(verify::verify(net.network, query, options));
     }

@@ -41,7 +41,7 @@ using namespace aalwines;
 struct Instance {
     synthesis::SyntheticNetwork net;
     verify::SweepSpec spec;
-    verify::VerifyOptions options; ///< dual engine, auto (=lazy) translation
+    verify::VerifyOptions options; ///< dual engine, lazy translation
     std::size_t jobs = 4;
 };
 
@@ -67,7 +67,6 @@ Instance make_instance(std::size_t chains) {
         instance.net.network,
         aalwines::bench::env_size("AALWINES_BENCH_SWEEP_SCENARIOS", 64));
 
-    instance.options.translation = aalwines::bench::env_translation_mode();
     // Oversubscribing a small box just time-slices both sides; cap the
     // default worker pool at the hardware.
     const auto hw = std::max<std::size_t>(1, std::thread::hardware_concurrency());

@@ -52,9 +52,6 @@ void usage(std::ostream& out) {
         "  --weight W           weight vector, e.g. 'hops, failures + 3*tunnels'\n"
         "                       (implies --engine weighted)\n"
         "  --reduction N        PDA reduction level 0|1|2  (default 2)\n"
-        "  --translation M      PDA rule materialization: auto | lazy | eager\n"
-        "                       (auto: demand-driven for dual/weighted, eager\n"
-        "                       for moped/exact)\n"
         "  --locations FILE     apply router coordinates (JSON)\n"
         "  --queries-file F     read one query per line from F ('#' comments)\n"
         "  --battery N          also verify N generated battery queries (the\n"

@@ -144,8 +144,6 @@ void VerifySpec::append_key(std::string& key) const {
     key += std::to_string(max_iterations);
     key += '\x1f';
     key += trace ? '1' : '0';
-    key += '\x1f';
-    key += translation;
 }
 
 verify::VerifyOptions make_verify_options(const VerifySpec& spec, WeightExpr& weights) {
@@ -171,12 +169,6 @@ verify::VerifyOptions make_verify_options(const VerifySpec& spec, WeightExpr& we
         throw usage_error("unknown engine '" + spec.engine +
                           "' (moped, dual, weighted or exact)");
     }
-    if (spec.translation == "lazy") options.translation = verify::TranslationMode::Lazy;
-    else if (spec.translation == "eager")
-        options.translation = verify::TranslationMode::Eager;
-    else if (spec.translation != "auto")
-        throw usage_error("unknown translation mode '" + spec.translation +
-                          "' (auto, lazy or eager)");
     return options;
 }
 
@@ -201,45 +193,69 @@ std::vector<std::string> split_queries(const std::string& text) {
     return queries;
 }
 
-Cli parse_cli(int argc, char** argv) {
-    Cli cli;
-    auto value = [&](int& i) -> std::string {
+namespace {
+
+/// A command line being read left to right.
+struct Args {
+    int argc;
+    char** argv;
+    int i; ///< the option being read
+
+    /// Consume and return the current option's value.
+    std::string value() {
         if (i + 1 >= argc)
             throw usage_error(std::string("option '") + argv[i] + "' expects a value");
         return argv[++i];
-    };
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--topology") cli.source.topology_file = value(i);
-        else if (arg == "--routing") cli.source.routing_file = value(i);
-        else if (arg == "--gml") cli.source.gml_file = value(i);
-        else if (arg == "--isis") cli.source.isis_file = value(i);
-        else if (arg == "--demo") cli.source.demo = value(i);
-        else if (arg == "--locations") cli.source.locations_file = value(i);
-        else if (arg == "--query" || arg == "-q") cli.queries.push_back(value(i));
-        else if (arg == "--engine") cli.spec.engine = value(i);
-        else if (arg == "--translation") cli.spec.translation = value(i);
-        else if (arg == "--weight") cli.spec.weight = value(i);
-        else if (arg == "--reduction") cli.spec.reduction = parse_int(arg, value(i));
-        else if (arg == "--jobs") cli.jobs = parse_size(arg, value(i));
-        else if (arg == "--queries-file") cli.queries_file = value(i);
-        else if (arg == "--battery") cli.battery = parse_size(arg, value(i));
+    }
+};
+
+/// Read `arg` into `source` when it is a network-source flag.
+bool source_flag(Args& args, const std::string& arg, NetworkSource& source) {
+    if (arg == "--topology") source.topology_file = args.value();
+    else if (arg == "--routing") source.routing_file = args.value();
+    else if (arg == "--gml") source.gml_file = args.value();
+    else if (arg == "--isis") source.isis_file = args.value();
+    else if (arg == "--demo") source.demo = args.value();
+    else if (arg == "--locations") source.locations_file = args.value();
+    else return false;
+    return true;
+}
+
+/// Read `arg` into `spec` when it is a verify-option flag.
+bool spec_flag(Args& args, const std::string& arg, VerifySpec& spec) {
+    if (arg == "--engine") spec.engine = args.value();
+    else if (arg == "--weight") spec.weight = args.value();
+    else if (arg == "--reduction") spec.reduction = parse_int(arg, args.value());
+    else if (arg == "--witnesses") spec.witnesses = parse_size(arg, args.value());
+    else if (arg == "--max-iterations") spec.max_iterations = parse_size(arg, args.value());
+    else if (arg == "--no-trace") spec.trace = false;
+    else return false;
+    return true;
+}
+
+} // namespace
+
+Cli parse_cli(int argc, char** argv) {
+    Cli cli;
+    for (Args args{argc, argv, 1}; args.i < argc; ++args.i) {
+        const std::string arg = argv[args.i];
+        if (source_flag(args, arg, cli.source) || spec_flag(args, arg, cli.spec)) continue;
+        if (arg == "--query" || arg == "-q") cli.queries.push_back(args.value());
+        else if (arg == "--jobs") cli.jobs = parse_size(arg, args.value());
+        else if (arg == "--queries-file") cli.queries_file = args.value();
+        else if (arg == "--battery") cli.battery = parse_size(arg, args.value());
         else if (arg == "--interactive") cli.interactive = true;
-        else if (arg == "--witnesses") cli.spec.witnesses = parse_size(arg, value(i));
-        else if (arg == "--max-iterations")
-            cli.spec.max_iterations = parse_size(arg, value(i));
-        else if (arg == "--no-trace") cli.spec.trace = false;
         else if (arg == "--validate") cli.validate = true;
         else if (arg == "--validate=deep") cli.validate = cli.validate_deep = true;
         else if (arg == "--json") cli.as_json = true;
-        else if (arg == "--html") cli.html_file = value(i);
-        else if (arg == "--trace-json") cli.trace_json_file = value(i);
-        else if (arg == "--trace-chrome") cli.trace_chrome_file = value(i);
+        else if (arg == "--html") cli.html_file = args.value();
+        else if (arg == "--trace-json") cli.trace_json_file = args.value();
+        else if (arg == "--trace-chrome") cli.trace_chrome_file = args.value();
         else if (arg == "--stats") cli.stats = true;
         else if (arg == "--explain") cli.explain = true;
-        else if (arg == "--write-topology") cli.write_topology = value(i);
-        else if (arg == "--write-routing") cli.write_routing = value(i);
-        else if (arg == "--write-gml") cli.write_gml = value(i);
+        else if (arg == "--write-topology") cli.write_topology = args.value();
+        else if (arg == "--write-routing") cli.write_routing = args.value();
+        else if (arg == "--write-gml") cli.write_gml = args.value();
         else if (arg == "--info") cli.info = true;
         else if (arg == "--help" || arg == "-h") cli.help = true;
         else throw usage_error("unknown option '" + arg + "'");
@@ -249,45 +265,28 @@ Cli parse_cli(int argc, char** argv) {
 
 SweepCli parse_sweep_cli(int argc, char** argv, int first) {
     SweepCli sweep;
-    auto value = [&](int& i) -> std::string {
-        if (i + 1 >= argc)
-            throw usage_error(std::string("option '") + argv[i] + "' expects a value");
-        return argv[++i];
-    };
-    for (int i = first; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--topology") sweep.source.topology_file = value(i);
-        else if (arg == "--routing") sweep.source.routing_file = value(i);
-        else if (arg == "--gml") sweep.source.gml_file = value(i);
-        else if (arg == "--isis") sweep.source.isis_file = value(i);
-        else if (arg == "--demo") sweep.source.demo = value(i);
-        else if (arg == "--locations") sweep.source.locations_file = value(i);
-        else if (arg == "--template") sweep.query_template = value(i);
+    for (Args args{argc, argv, first}; args.i < argc; ++args.i) {
+        const std::string arg = argv[args.i];
+        if (source_flag(args, arg, sweep.source) || spec_flag(args, arg, sweep.spec))
+            continue;
+        if (arg == "--template") sweep.query_template = args.value();
         else if (arg == "--pair") {
-            const auto pair = value(i);
+            const auto pair = args.value();
             const auto colon = pair.find(':');
             if (colon == std::string::npos || colon == 0 || colon + 1 == pair.size())
                 throw usage_error("--pair expects SRC:DST, got '" + pair + "'");
             sweep.pairs.emplace_back(pair.substr(0, colon), pair.substr(colon + 1));
         } else if (arg == "--k") {
-            std::istringstream parts(value(i));
+            std::istringstream parts(args.value());
             std::string part;
             while (std::getline(parts, part, ','))
                 sweep.budgets.push_back(parse_size("--k", part));
             if (sweep.budgets.empty()) throw usage_error("--k expects N[,M,...]");
-        } else if (arg == "--scenarios") sweep.scenarios_file = value(i);
+        } else if (arg == "--scenarios") sweep.scenarios_file = args.value();
         else if (arg == "--single-failures") {
             sweep.single_failures = true;
-            sweep.single_failure_cap = parse_size(arg, value(i));
-        } else if (arg == "--engine") sweep.spec.engine = value(i);
-        else if (arg == "--translation") sweep.spec.translation = value(i);
-        else if (arg == "--weight") sweep.spec.weight = value(i);
-        else if (arg == "--reduction") sweep.spec.reduction = parse_int(arg, value(i));
-        else if (arg == "--max-iterations")
-            sweep.spec.max_iterations = parse_size(arg, value(i));
-        else if (arg == "--no-trace") sweep.spec.trace = false;
-        else if (arg == "--witnesses") sweep.spec.witnesses = parse_size(arg, value(i));
-        else if (arg == "--jobs") sweep.jobs = parse_size(arg, value(i));
+            sweep.single_failure_cap = parse_size(arg, args.value());
+        } else if (arg == "--jobs") sweep.jobs = parse_size(arg, args.value());
         else if (arg == "--json") sweep.as_json = true;
         else if (arg == "--stats") sweep.stats = true;
         else if (arg == "--help" || arg == "-h") sweep.help = true;
@@ -355,29 +354,19 @@ verify::SweepSpec make_sweep_spec(const SweepCli& sweep, const Network& network)
 
 ServeCli parse_serve_cli(int argc, char** argv, int first) {
     ServeCli serve;
-    auto value = [&](int& i) -> std::string {
-        if (i + 1 >= argc)
-            throw usage_error(std::string("option '") + argv[i] + "' expects a value");
-        return argv[++i];
-    };
-    for (int i = first; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--port") serve.port = parse_int(arg, value(i));
-        else if (arg == "--bind") serve.bind_address = value(i);
-        else if (arg == "--workers") serve.workers = parse_size(arg, value(i));
-        else if (arg == "--queue") serve.queue_capacity = parse_size(arg, value(i));
-        else if (arg == "--cache") serve.cache_capacity = parse_size(arg, value(i));
-        else if (arg == "--deadline-ms") serve.deadline_ms = parse_int(arg, value(i));
+    for (Args args{argc, argv, first}; args.i < argc; ++args.i) {
+        const std::string arg = argv[args.i];
+        if (source_flag(args, arg, serve.preload)) continue;
+        if (arg == "--port") serve.port = parse_int(arg, args.value());
+        else if (arg == "--bind") serve.bind_address = args.value();
+        else if (arg == "--workers") serve.workers = parse_size(arg, args.value());
+        else if (arg == "--queue") serve.queue_capacity = parse_size(arg, args.value());
+        else if (arg == "--cache") serve.cache_capacity = parse_size(arg, args.value());
+        else if (arg == "--deadline-ms") serve.deadline_ms = parse_int(arg, args.value());
         else if (arg == "--max-body-mb")
-            serve.max_body_bytes = parse_size(arg, value(i)) << 20;
-        else if (arg == "--topology") serve.preload.topology_file = value(i);
-        else if (arg == "--routing") serve.preload.routing_file = value(i);
-        else if (arg == "--gml") serve.preload.gml_file = value(i);
-        else if (arg == "--isis") serve.preload.isis_file = value(i);
-        else if (arg == "--demo") serve.preload.demo = value(i);
-        else if (arg == "--locations") serve.preload.locations_file = value(i);
-        else if (arg == "--access-log") serve.access_log = value(i);
-        else if (arg == "--slow-query-ms") serve.slow_query_ms = parse_size(arg, value(i));
+            serve.max_body_bytes = parse_size(arg, args.value()) << 20;
+        else if (arg == "--access-log") serve.access_log = args.value();
+        else if (arg == "--slow-query-ms") serve.slow_query_ms = parse_size(arg, args.value());
         else if (arg == "--help" || arg == "-h") serve.help = true;
         else throw usage_error("unknown option '" + arg + "'");
     }

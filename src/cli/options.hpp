@@ -76,9 +76,6 @@ struct VerifySpec {
     bool trace = true;           ///< reconstruct witness traces
     std::size_t witnesses = 1;   ///< max distinct witness traces
     std::size_t max_iterations = 0; ///< saturation cap, 0 = unlimited
-    /// PDA rule materialization: auto | lazy | eager (auto picks lazy for
-    /// dual/weighted, eager for moped/exact).
-    std::string translation = "auto";
 
     /// Append every field to `key`, '\x1f'-separated (the unit separator
     /// cannot appear in query or weight text).  The one spelling the server's

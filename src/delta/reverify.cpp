@@ -55,7 +55,7 @@ Reverifier::Applied Reverifier::apply(const NetworkDelta& delta) {
         _effects.pop_front();
         ++_effects_base;
     }
-    return {_generation, std::move(applied.effects)};
+    return {_generation, _network, std::move(applied.effects)};
 }
 
 std::optional<DeltaEffects> Reverifier::effects_since(std::uint64_t base) const {

@@ -44,8 +44,9 @@ public:
     Reverifier& operator=(const Reverifier&) = delete;
 
     struct Applied {
-        std::uint64_t generation = 0; ///< the generation the delta produced
-        DeltaEffects effects;         ///< what it disturbed (deduplicated)
+        std::uint64_t generation = 0;           ///< the generation the delta produced
+        std::shared_ptr<const Network> network; ///< that generation's snapshot
+        DeltaEffects effects;                   ///< what it disturbed (deduplicated)
     };
 
     /// Apply a delta on top of the current snapshot and publish the result

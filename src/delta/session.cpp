@@ -34,12 +34,6 @@ ChangedLinks changed_links(const DeltaEffects& effects, std::size_t n_links,
     return out;
 }
 
-/// The engines that verify through a TranslationCache.
-bool native(const verify::VerifyOptions& options) {
-    return options.engine == verify::EngineKind::Dual ||
-           options.engine == verify::EngineKind::Weighted;
-}
-
 } // namespace
 
 std::string_view to_string(Tier tier) {
@@ -52,8 +46,8 @@ std::string_view to_string(Tier tier) {
 }
 
 bool warm_capable(const verify::VerifyOptions& options) {
-    return native(options) &&
-           verify::use_lazy_translation(options.translation, options.engine);
+    return options.engine == verify::EngineKind::Dual ||
+           options.engine == verify::EngineKind::Weighted;
 }
 
 Session::Session(std::string query_text, const verify::VerifyOptions& options,
@@ -83,13 +77,11 @@ Session::Answer Session::answer(std::shared_ptr<const Network> target,
         } else {
             _cache.reset(); // it points into the fields replaced next
             _query = query::parse_query(_text, *target);
-            if (native(_options)) {
-                const bool lazy =
-                    verify::use_lazy_translation(_options.translation, _options.engine);
+            if (warm) {
                 _cache = _nfas != nullptr ? std::make_unique<verify::TranslationCache>(
-                                                *target, _query, weights, lazy, _nfas)
+                                                *target, _query, weights, /*lazy=*/true, _nfas)
                                           : std::make_unique<verify::TranslationCache>(
-                                                *target, _query, weights, lazy);
+                                                *target, _query, weights, /*lazy=*/true);
             }
         }
         _network = std::move(target);
@@ -108,7 +100,6 @@ Session::Answer Session::answer(std::shared_ptr<const Network> target,
         if (const auto* under = _cache->under_or_null()) under->add_to_footprint(footprint);
         _anchor = Anchor{out.result, std::move(footprint)};
     }
-    if (!warm) _cache.reset(); // an eager translation cannot rebase
     telemetry::count(out.tier == Tier::Warm ? telemetry::Counter::delta_tier2_resaturations
                                             : telemetry::Counter::delta_cold_rebuilds);
     return out;

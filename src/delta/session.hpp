@@ -49,7 +49,7 @@ enum class Tier : std::uint8_t { Reused, Warm, Cold };
 [[nodiscard]] std::string_view to_string(Tier tier);
 
 /// Whether a run can rebase, and so keep a live translation and an anchor:
-/// only the native post* engines with a lazy translation.  Moped
+/// only the native post* engines, which translate lazily.  Moped
 /// re-serialises and Exact re-enumerates from scratch every time.
 [[nodiscard]] bool warm_capable(const verify::VerifyOptions& options);
 

@@ -50,6 +50,7 @@ private:
     std::string_view _text;
     std::size_t _pos = 0;
     unsigned _line = 1;
+    unsigned _depth = 0; ///< blocks open around the current position
 
     [[nodiscard]] bool at_end() const { return _pos >= _text.size(); }
     [[nodiscard]] char peek() const { return _text[_pos]; }
@@ -83,6 +84,9 @@ private:
         GmlValue out;
         if (at_end()) throw parse_error("GML: expected a value", {_line, 0});
         if (peek() == '[') {
+            const NestingLevel level(_depth, [this](const auto& message) {
+                throw parse_error("GML: " + message, {_line, 0});
+            });
             ++_pos;
             out.record = std::make_unique<GmlRecord>();
             skip_ws();

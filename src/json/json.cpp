@@ -51,6 +51,7 @@ private:
     std::size_t _pos = 0;
     unsigned _line = 1;
     unsigned _col = 1;
+    unsigned _depth = 0; ///< containers open around the current position
 
     [[noreturn]] void fail(const std::string& message) const {
         detail::fail_parse(message, {_line, _col});
@@ -107,6 +108,7 @@ private:
     }
 
     Value parse_object() {
+        const NestingLevel level(_depth, [this](const auto& message) { fail(message); });
         expect('{');
         Object object;
         skip_ws();
@@ -132,6 +134,7 @@ private:
     }
 
     Value parse_array() {
+        const NestingLevel level(_depth, [this](const auto& message) { fail(message); });
         expect('[');
         Array array;
         skip_ws();

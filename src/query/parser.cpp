@@ -81,6 +81,7 @@ private:
     Cursor _cur;
     const Network& _network;
     std::string_view _cur_text_backup;
+    unsigned _depth = 0; ///< groups open around the current position
 
     Regex parse_alt(Context context) {
         std::vector<Regex> branches;
@@ -144,6 +145,8 @@ private:
     Regex parse_atom(Context context) {
         if (_cur.try_consume('.')) return Regex::atom(SymbolSet::any());
         if (_cur.try_consume('(')) {
+            const NestingLevel level(_depth,
+                                     [this](const auto& message) { _cur.fail(message); });
             Regex inner = parse_alt(context);
             _cur.expect(')');
             return inner;

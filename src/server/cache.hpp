@@ -1,12 +1,12 @@
 #pragma once
 // Compiled-query LRU cache: memoizes VerifyResults keyed by everything that
 // determines them — network workspace, query text, engine, weight
-// expression, reduction level, witness count, iteration cap, translation
-// mode (lazy answers match eager ones, but their stats differ).  Repeat
-// queries (the dominant interactive pattern: re-checking the same
-// invariants after each what-if edit) skip parse, translation and
-// saturation entirely.  Hit/miss totals land in the telemetry registry
-// (server_cache_hits / server_cache_misses) and in /metrics.
+// expression, reduction level, witness count, iteration cap and trace flag
+// (cli::VerifySpec::append_key).  Repeat queries (the dominant interactive
+// pattern: re-checking the same invariants after each what-if edit) skip
+// parse, translation and saturation entirely.  Hit/miss totals land in the
+// telemetry registry (server_cache_hits / server_cache_misses) and in
+// /metrics.
 
 #include <cstdint>
 #include <list>

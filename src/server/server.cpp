@@ -17,12 +17,14 @@ namespace aalwines::server {
 
 namespace {
 
-void set_timeout(int fd, int option, long ms) {
-    if (ms <= 0) return;
-    timeval tv{};
-    tv.tv_sec = ms / 1000;
-    tv.tv_usec = (ms % 1000) * 1000;
-    ::setsockopt(fd, SOL_SOCKET, option, &tv, sizeof tv);
+/// Seconds advertised in the Retry-After header of 503 rejections.
+constexpr const char* k_retry_after = "1";
+
+/// Per-call budget of every recv and send on an accepted socket.
+void set_socket_timeouts(int fd) {
+    const timeval ten_seconds{10, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &ten_seconds, sizeof ten_seconds);
+    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &ten_seconds, sizeof ten_seconds);
 }
 
 void close_quietly(int fd) {
@@ -151,8 +153,7 @@ void Server::accept_loop() {
             if (errno == EINTR || errno == ECONNABORTED || errno == EAGAIN) continue;
             break; // EMFILE storms and fatal errors both end up draining
         }
-        set_timeout(fd, SO_RCVTIMEO, _config.recv_timeout_ms);
-        set_timeout(fd, SO_SNDTIMEO, _config.send_timeout_ms);
+        set_socket_timeouts(fd);
 
         bool admitted = false;
         {
@@ -171,8 +172,7 @@ void Server::accept_loop() {
         // Admission control: reply 503 without consuming the request.
         telemetry::count(telemetry::Counter::server_rejected);
         auto response = error_response(503, "verification queue is full");
-        response.headers.emplace("Retry-After",
-                                 std::to_string(_config.retry_after_seconds));
+        response.headers.emplace("Retry-After", k_retry_after);
         http::write_all(fd, http::to_wire(response));
         close_quietly(fd);
     }

@@ -26,9 +26,6 @@ struct ServerConfig {
     std::uint16_t port = 0;          ///< 0 = ephemeral, read back via port()
     std::size_t workers = 0;         ///< 0 = hardware concurrency
     std::size_t queue_capacity = 64; ///< pending-connection bound
-    int retry_after_seconds = 1;     ///< advertised on 503 rejections
-    long recv_timeout_ms = 10000;    ///< per-socket read budget
-    long send_timeout_ms = 10000;    ///< per-socket write budget
     long deadline_ms = 0; ///< max queue wait before a request is expired (504); 0 = off
     std::size_t max_body_bytes = 64ull << 20;
     /// Test instrumentation: runs in the worker after the request is read,

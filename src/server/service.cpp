@@ -1,5 +1,6 @@
 #include "server/service.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <optional>
 #include <thread>
@@ -95,10 +96,11 @@ cli::VerifySpec spec_from_request(const json::Object& object) {
     spec.trace = bool_field(object, "trace", true);
     spec.witnesses = size_field(object, "witnesses", 1);
     spec.max_iterations = size_field(object, "maxIterations", 0);
-    spec.translation = string_field(object, "translation");
-    if (spec.translation.empty()) spec.translation = "auto";
     return spec;
 }
+
+/// The cap on a request's `jobs`: the hardware concurrency.
+std::size_t job_cap() { return std::max(1u, std::thread::hardware_concurrency()); }
 
 /// Tier counts under the tiers' own names ("reused", "warm", "cold") — the
 /// one vocabulary the /query and /sweep access-log lines share.
@@ -286,7 +288,7 @@ http::Response Service::handle_patch(const http::Request& request,
     // Publish the snapshot, then retire every cached result of this
     // workspace (and only this workspace) — the key's generation field
     // already guarantees staleness can't be served, eviction frees memory.
-    _workspaces.update_network(workspace.id, reverifier->network(), applied.generation);
+    _workspaces.update_network(workspace.id, applied.network, applied.generation);
     const auto evicted = _cache.invalidate(cache_scope(workspace.sequence));
     std::uint64_t invalidations = 0;
     {
@@ -306,7 +308,7 @@ http::Response Service::handle_patch(const http::Request& request,
         log->emplace("cacheEvictions", evicted);
     }
 
-    const auto& topology = reverifier->network()->topology;
+    const auto& topology = applied.network->topology;
     json::Object effects;
     effects.emplace("entryLinks", links_to_json(topology, applied.effects.entry_links));
     effects.emplace("stateLinks", links_to_json(topology, applied.effects.state_links));
@@ -350,11 +352,7 @@ http::Response Service::handle_query(const http::Request& request,
 
     const auto spec = spec_from_request(object);
     const bool stats = bool_field(object, "stats", false);
-    auto jobs = size_field(object, "jobs", 1);
-    const auto max_jobs = _config.max_jobs != 0
-                              ? _config.max_jobs
-                              : std::max(1u, std::thread::hardware_concurrency());
-    jobs = std::min(std::max<std::size_t>(jobs, 1), max_jobs);
+    const auto jobs = std::clamp<std::size_t>(size_field(object, "jobs", 1), 1, job_cap());
 
     WeightExpr weights;
     const auto options = cli::make_verify_options(spec, weights); // validates
@@ -529,10 +527,7 @@ http::Response Service::handle_sweep(const http::Request& request,
     const auto spec = spec_from_request(object);
     const bool stats = bool_field(object, "stats", false);
     auto jobs = size_field(object, "jobs", 0); // 0 = one worker per chain, capped
-    const auto max_jobs = _config.max_jobs != 0
-                              ? _config.max_jobs
-                              : std::max(1u, std::thread::hardware_concurrency());
-    jobs = jobs == 0 ? max_jobs : std::min(jobs, max_jobs);
+    jobs = jobs == 0 ? job_cap() : std::min(jobs, job_cap());
 
     WeightExpr weights;
     const auto options = cli::make_verify_options(spec, weights); // validates

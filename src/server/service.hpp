@@ -43,7 +43,6 @@ namespace aalwines::server {
 
 struct ServiceConfig {
     std::size_t cache_capacity = 256; ///< compiled-result LRU entries, 0 = off
-    std::size_t max_jobs = 0;         ///< per-request --jobs cap, 0 = hardware
     std::string access_log_path;      ///< JSON-lines request log; "" = off, "-" = stdout
     std::uint32_t slow_query_ms = 0;  ///< flag+detail requests slower than this; 0 = off
 };

@@ -27,8 +27,12 @@ bool WorkspaceRegistry::update_network(const std::string& id,
     const util::MutexLock lock(_mutex);
     for (auto& workspace : _workspaces) {
         if (workspace.id != id) continue;
-        workspace.network = std::move(network);
-        workspace.generation = generation;
+        // PATCHes publish after their apply returns, so they can arrive out
+        // of order; an older generation must not replace a newer one.
+        if (generation > workspace.generation) {
+            workspace.network = std::move(network);
+            workspace.generation = generation;
+        }
         return true;
     }
     return false;

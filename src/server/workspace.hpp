@@ -40,8 +40,9 @@ public:
     /// Look up by id; nullopt when unknown.
     [[nodiscard]] std::optional<Workspace> find(const std::string& id) const;
 
-    /// Publish a patched snapshot for `id` (see Workspace::generation);
-    /// false when the id is unknown (e.g. deleted concurrently).
+    /// Publish a patched snapshot for `id` (see Workspace::generation)
+    /// unless a newer generation is already published; false when the id is
+    /// unknown (e.g. deleted concurrently).
     bool update_network(const std::string& id, std::shared_ptr<const Network> network,
                         std::uint64_t generation);
 

@@ -145,16 +145,13 @@ ThreadBuffer::ThreadBuffer() { Registry::global().attach(this); }
 
 ThreadBuffer::~ThreadBuffer() { Registry::global().detach(this); }
 
-#if AALWINES_TELEMETRY_ENABLED
 ThreadBuffer& buffer() {
     thread_local ThreadBuffer instance;
     return instance;
 }
-#endif
 
 } // namespace detail
 
-#if AALWINES_TELEMETRY_ENABLED
 Span::Span(const char* name) {
     auto& buf = detail::buffer();
     const util::MutexLock lock(buf.span_mutex);
@@ -169,7 +166,6 @@ Span::~Span() {
     buf.spans[static_cast<std::size_t>(_index)].end_ns = detail::now_ns();
     buf.current = buf.spans[static_cast<std::size_t>(_index)].parent;
 }
-#endif
 
 Registry::Registry() : _epoch_ns(detail::now_ns()) {}
 

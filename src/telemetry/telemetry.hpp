@@ -13,11 +13,6 @@
 // that serialises to JSON (see docs/OBSERVABILITY.md for the schema);
 // histograms additionally export as Prometheus text exposition and feed the
 // bucket-interpolated p50/p90/p99 accessors.
-//
-// Compile-time gated by the CMake option AALWINES_TELEMETRY (default ON),
-// which defines AALWINES_TELEMETRY_ENABLED=1/0.  When disabled, every
-// probe — count(), gauge_max(), observe(), Span, AALWINES_SPAN — reduces to
-// a no-op and snapshots are empty; the API stays source-compatible.
 
 #include <array>
 #include <atomic>
@@ -28,10 +23,6 @@
 #include <vector>
 
 #include "util/mutex.hpp"
-
-#ifndef AALWINES_TELEMETRY_ENABLED
-#define AALWINES_TELEMETRY_ENABLED 1
-#endif
 
 namespace aalwines::telemetry {
 
@@ -223,51 +214,39 @@ public:
     std::int32_t current GUARDED_BY(span_mutex) = -1; ///< innermost open span, -1 = none
 };
 
-#if AALWINES_TELEMETRY_ENABLED
 [[nodiscard]] ThreadBuffer& buffer();
-#endif
 [[nodiscard]] std::uint64_t now_ns();
 
 } // namespace detail
 
 /// Add `n` to a counter (hot-path safe).
-inline void count([[maybe_unused]] Counter counter, [[maybe_unused]] std::uint64_t n = 1) {
-#if AALWINES_TELEMETRY_ENABLED
+inline void count(Counter counter, std::uint64_t n = 1) {
     detail::buffer().counters[static_cast<std::size_t>(counter)].fetch_add(
         n, std::memory_order_relaxed);
-#endif
 }
 
 /// Raise a gauge to at least `value` (hot-path safe).
-inline void gauge_max([[maybe_unused]] Gauge gauge, [[maybe_unused]] std::uint64_t value) {
-#if AALWINES_TELEMETRY_ENABLED
+inline void gauge_max(Gauge gauge, std::uint64_t value) {
     auto& cell = detail::buffer().gauges[static_cast<std::size_t>(gauge)];
     auto current = cell.load(std::memory_order_relaxed);
     while (value > current &&
            !cell.compare_exchange_weak(current, value, std::memory_order_relaxed)) {
     }
-#endif
 }
 
 /// Record one observation in recorded units (hot-path safe: three relaxed
 /// adds on thread-private cache lines).
-inline void observe([[maybe_unused]] Histogram histogram,
-                    [[maybe_unused]] std::uint64_t value) {
-#if AALWINES_TELEMETRY_ENABLED
+inline void observe(Histogram histogram, std::uint64_t value) {
     auto& cell = detail::buffer().histograms[static_cast<std::size_t>(histogram)];
     cell.buckets[histogram_bucket(value)].fetch_add(1, std::memory_order_relaxed);
     cell.count.fetch_add(1, std::memory_order_relaxed);
     cell.sum.fetch_add(value, std::memory_order_relaxed);
-#endif
 }
 
 /// Record a duration given in seconds into a nanosecond-unit histogram.
-inline void observe_duration([[maybe_unused]] Histogram histogram,
-                             [[maybe_unused]] double seconds) {
-#if AALWINES_TELEMETRY_ENABLED
+inline void observe_duration(Histogram histogram, double seconds) {
     if (seconds < 0) seconds = 0;
     observe(histogram, static_cast<std::uint64_t>(seconds * 1e9));
-#endif
 }
 
 /// Scoped span timer.  Construction opens a child of the innermost open
@@ -275,19 +254,13 @@ inline void observe_duration([[maybe_unused]] Histogram histogram,
 /// with static storage duration (a literal).
 class Span {
 public:
-#if AALWINES_TELEMETRY_ENABLED
     explicit Span(const char* name);
     ~Span();
-#else
-    explicit Span(const char*) noexcept {}
-#endif
     Span(const Span&) = delete;
     Span& operator=(const Span&) = delete;
 
 private:
-#if AALWINES_TELEMETRY_ENABLED
     std::int32_t _index = -1;
-#endif
 };
 
 class Registry {
@@ -344,12 +317,8 @@ void reset();
 
 } // namespace aalwines::telemetry
 
-#define AALWINES_TELEMETRY_CAT2(a, b) a##b
-#define AALWINES_TELEMETRY_CAT(a, b) AALWINES_TELEMETRY_CAT2(a, b)
-#if AALWINES_TELEMETRY_ENABLED
+#define AALWINES_SPAN_CAT2(a, b) a##b
+#define AALWINES_SPAN_CAT(a, b) AALWINES_SPAN_CAT2(a, b)
 /// Open a span for the rest of the enclosing scope.
 #define AALWINES_SPAN(name) \
-    ::aalwines::telemetry::Span AALWINES_TELEMETRY_CAT(aalwines_span_, __LINE__)(name)
-#else
-#define AALWINES_SPAN(name) static_cast<void>(0)
-#endif
+    ::aalwines::telemetry::Span AALWINES_SPAN_CAT(aalwines_span_, __LINE__)(name)

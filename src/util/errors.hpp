@@ -50,4 +50,28 @@ namespace detail {
 [[noreturn]] void fail_parse(const std::string& message, SourcePos pos);
 } // namespace detail
 
+/// The deepest nesting the recursive-descent parsers (JSON, XML, GML and
+/// query groups) accept.  They recurse once per level, so without a bound a
+/// single deep document exhausts the stack; real documents nest about a
+/// dozen levels deep.
+inline constexpr unsigned k_max_nesting = 256;
+
+/// Scope guard for one nesting level of a recursive-descent parser: counts
+/// the level in `depth` while it lives.  Past k_max_nesting levels it calls
+/// `fail` (which throws the parser's parse_error) instead.
+class NestingLevel {
+public:
+    template <class Fail>
+    NestingLevel(unsigned& depth, Fail&& fail) : _depth(depth) {
+        if (++_depth > k_max_nesting)
+            fail("nesting deeper than " + std::to_string(k_max_nesting) + " levels");
+    }
+    ~NestingLevel() { --_depth; }
+    NestingLevel(const NestingLevel&) = delete;
+    NestingLevel& operator=(const NestingLevel&) = delete;
+
+private:
+    unsigned& _depth;
+};
+
 } // namespace aalwines

@@ -38,24 +38,6 @@ std::string_view to_string(EngineKind engine) {
     return "?";
 }
 
-std::string_view to_string(TranslationMode mode) {
-    switch (mode) {
-        case TranslationMode::Auto: return "auto";
-        case TranslationMode::Lazy: return "lazy";
-        case TranslationMode::Eager: return "eager";
-    }
-    return "?";
-}
-
-bool use_lazy_translation(TranslationMode mode, EngineKind engine) {
-    switch (mode) {
-        case TranslationMode::Lazy: return true;
-        case TranslationMode::Eager: return false;
-        case TranslationMode::Auto: break;
-    }
-    return engine == EngineKind::Dual || engine == EngineKind::Weighted;
-}
-
 const WeightExpr* translation_weights(const VerifyOptions& options) {
     return options.engine == EngineKind::Weighted && options.weights != nullptr &&
                    !options.weights->empty()
@@ -252,8 +234,7 @@ VerifyResult verify_impl(const Network& network, const query::Query& query,
     // incremental what-if path rebases it between network generations.
     std::optional<TranslationCache> local;
     if (external == nullptr)
-        local.emplace(network, query, translation_weights(options),
-                      use_lazy_translation(options.translation, options.engine));
+        local.emplace(network, query, translation_weights(options), /*lazy=*/true);
     else
         AALWINES_ASSERT(&external->network() == &network,
                         "external translation cache not rebased to this network");

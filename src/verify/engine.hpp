@@ -13,6 +13,11 @@
 //              format, parsed back, and solved by classical pre* saturation
 //              with full saturation before the membership check.  Logical
 //              properties only (requesting weights is an error).
+//
+// The engine decides when network→PDA rules materialize: Dual and Weighted
+// translate lazily (saturation demands only the control states it reaches),
+// Moped and Exact eagerly (the serialization round trip and the per-scenario
+// enumeration consume the whole rule set up front).
 
 #include <cstdint>
 #include <optional>
@@ -38,18 +43,6 @@ enum class EngineKind : std::uint8_t { Moped, Dual, Weighted, Exact };
 
 [[nodiscard]] std::string_view to_string(EngineKind engine);
 
-/// Network→PDA rule materialization strategy (TranslationOptions::lazy).
-enum class TranslationMode : std::uint8_t { Auto, Lazy, Eager };
-
-[[nodiscard]] std::string_view to_string(TranslationMode mode);
-
-/// Resolve Auto per engine: demand-driven for the native post* engines
-/// (Dual, Weighted), where saturation demands only the reachable control
-/// states; eager for engines that consume the whole rule set up front
-/// (Moped's serialization round-trip, Exact's per-scenario enumeration and
-/// pre* seeding).  Explicit Lazy/Eager is honored for every engine.
-[[nodiscard]] bool use_lazy_translation(TranslationMode mode, EngineKind engine);
-
 struct VerifyOptions {
     EngineKind engine = EngineKind::Dual;
     /// PDA reduction level: 0 = off, 1 = top-of-stack, 2 = + second symbol.
@@ -70,9 +63,6 @@ struct VerifyOptions {
     /// weight for the weighted engine).  Values > 1 disable demand-driven
     /// early termination so the saturated automaton covers alternatives.
     std::size_t max_witnesses = 1;
-    /// When (and whether) network→PDA rules materialize — see
-    /// use_lazy_translation for the Auto resolution.
-    TranslationMode translation = TranslationMode::Auto;
     /// Optional caller-owned solver scratch memory (the worklist arena)
     /// reused across calls.  The sweep engine pools one workspace per
     /// worker; nullptr = call-local.
@@ -157,7 +147,9 @@ class TranslationCache;
 /// generations instead of rebuilt, so saturation re-materializes only the
 /// invalidated frontier.  Only the native post* engines (Dual, Weighted)
 /// accept an external cache; `cache` must have been built for this
-/// query/weights and rebased to exactly `network`.
+/// query/weights and rebased to exactly `network`.  An eager cache runs the
+/// same pipeline on the whole rule set: the reference build the lazy ≡ eager
+/// tests and the benches' eager rows use.
 [[nodiscard]] VerifyResult verify(const Network& network, const query::Query& query,
                                   const VerifyOptions& options, TranslationCache& cache);
 

@@ -76,7 +76,6 @@ VerifyResult exact_verify(const Network& network, const query::Query& query,
         topts.failed_links = &failed;
         topts.weights = options.weights;
         topts.nfas = &nfas;
-        topts.lazy = use_lazy_translation(options.translation, EngineKind::Exact);
         Translation translation(network, query, topts);
         result.stats.over.pda_rules_before_reduction += translation.rules_before_reduction();
         translation.reduce(options.reduction_level);
@@ -92,14 +91,12 @@ VerifyResult exact_verify(const Network& network, const query::Query& query,
             return found ? found->weight : pda::Weight::infinity();
         };
         const auto sat_stats = pda::post_star(automaton, sopts);
-        // Per-scenario sizes accumulate; read after saturation so a lazy
-        // scenario reports the rules it actually demanded.
+        // Per-scenario sizes accumulate.
         result.stats.over.pda_rules += translation.pda().rule_count();
         result.stats.over.pda_rules_total += translation.total_rules();
         result.stats.over.pda_rules_materialized += translation.pda().rule_count();
         result.stats.over.pda_states_materialized +=
             translation.pda().materialized_state_count();
-        result.stats.over.lazy_translation = translation.lazy();
         result.stats.over.saturation_iterations += sat_stats.iterations;
         result.stats.over.automaton_transitions += sat_stats.transitions + sat_stats.epsilons;
         result.stats.over.worklist_relaxations += sat_stats.relaxations;

@@ -41,9 +41,8 @@ MopedPhaseOutcome run_pre_star_phase(const Network& network, const query::Query&
     if (options.moped_reduction) translation.reduce(options.reduction_level);
 
     // The external-tool round trip, in the direct (fully concrete) encoding.
-    // A lazy translation is fully materialized by expand_concrete — the
-    // serialization needs every rule, so demand-driven construction buys
-    // nothing here (hence TranslationMode::Auto resolves to eager).
+    // The serialization needs every rule, so demand-driven construction
+    // would buy nothing here: Moped translates eagerly.
     pda::Pda backend(0);
     {
         AALWINES_SPAN("moped_roundtrip");
@@ -55,10 +54,8 @@ MopedPhaseOutcome run_pre_star_phase(const Network& network, const query::Query&
     outcome.stats.pda_states_expanded = backend.state_count();
     // Same semantics as the dual engine: the (optionally reduced) symbolic
     // translation PDA.  The concrete backend's size goes in `_expanded`.
-    // Read after the round trip so a lazy translation is fully counted.
     outcome.stats.pda_rules = translation.pda().rule_count();
     outcome.stats.pda_states = translation.pda().state_count();
-    outcome.stats.lazy_translation = translation.lazy();
     outcome.stats.pda_rules_total = translation.total_rules();
     outcome.stats.pda_rules_materialized = translation.pda().rule_count();
     outcome.stats.pda_states_materialized = translation.pda().materialized_state_count();
@@ -102,8 +99,7 @@ VerifyResult moped_verify(const Network& network, const query::Query& query,
     const auto start = Clock::now();
     VerifyResult result;
 
-    TranslationCache cache(network, query, /*weights=*/nullptr,
-                           use_lazy_translation(options.translation, EngineKind::Moped));
+    TranslationCache cache(network, query, /*weights=*/nullptr, /*lazy=*/false);
     pda::SolverWorkspace workspace;
 
     auto over = run_pre_star_phase(network, query, Approximation::Over, options, cache,

@@ -25,6 +25,7 @@ private:
     std::size_t _pos = 0;
     unsigned _line = 1;
     unsigned _col = 1;
+    unsigned _depth = 0; ///< elements open around the current position
 
     [[nodiscard]] bool at_end() const { return _pos >= _in.size(); }
     [[nodiscard]] char peek() const { return _in[_pos]; }
@@ -200,6 +201,7 @@ private:
     }
 
     Element parse_element() {
+        const NestingLevel level(_depth, [this](const auto& message) { fail(message); });
         expect('<');
         Element element;
         element.name = parse_name();

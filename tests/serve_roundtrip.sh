@@ -47,14 +47,14 @@ out=$("$client" -s "127.0.0.1:$port" query n1 '<ip> [.#v0] .* [v3#.] <ip> 0')
 echo "$out" | grep -q '"answer": "yes"'
 echo "$out" | grep -q '"cached": true'
 
-# A lazy-translation query through the daemon must produce the same answer
-# document as the one-shot CLI: identical bytes once the per-run fields
-# ("seconds" wall clock, the server-only "cached" marker) are dropped.
+# A query through the daemon must produce the same answer document as the
+# one-shot CLI: identical bytes once the per-run fields ("seconds" wall
+# clock, the server-only "cached" marker) are dropped.
 if command -v python3 >/dev/null 2>&1; then
-    lazy_query='<smpls? ip> [.#v0] . . . .* [v3#.] <smpls? ip> 1'
-    server_out=$("$client" -s "127.0.0.1:$port" query n1 "$lazy_query" --translation lazy)
+    fresh_query='<smpls? ip> [.#v0] . . . .* [v3#.] <smpls? ip> 1'
+    server_out=$("$client" -s "127.0.0.1:$port" query n1 "$fresh_query")
     echo "$server_out" | grep -q '"cached": false'
-    cli_out=$("$bin" --demo figure1 -q "$lazy_query" --translation lazy --json)
+    cli_out=$("$bin" --demo figure1 -q "$fresh_query" --json)
     SERVER_OUT="$server_out" CLI_OUT="$cli_out" python3 - <<'PYEOF'
 import json, os, sys
 server = json.loads(os.environ["SERVER_OUT"])
@@ -65,7 +65,7 @@ for doc in (server, cli):
 a = json.dumps(server, sort_keys=True, indent=2)
 b = json.dumps(cli, sort_keys=True, indent=2)
 if a != b:
-    sys.exit("serve_roundtrip: lazy daemon answer differs from one-shot CLI\n"
+    sys.exit("serve_roundtrip: daemon answer differs from one-shot CLI\n"
              f"--- daemon ---\n{a}\n--- cli ---\n{b}")
 PYEOF
 fi

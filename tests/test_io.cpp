@@ -170,6 +170,22 @@ TEST(Gml, WriteRoundTrips) {
     }
 }
 
+TEST(Gml, RejectsNestingPastTheBound) {
+    // `graph [` opens the first level; each `x [` one more.
+    const auto nested = [](std::size_t depth) {
+        std::string text = "graph [ node [ id 0 ] node [ id 1 ] edge [ source 0 target 1 ";
+        for (std::size_t i = 2; i < depth; ++i) text += "x [ ";
+        for (std::size_t i = 0; i < depth; ++i) text += "] ";
+        return text;
+    };
+    EXPECT_NO_THROW((void)read_gml(nested(k_max_nesting)));
+    EXPECT_THROW((void)read_gml(nested(k_max_nesting + 1)), parse_error);
+    // Far deeper than the stack could recurse: rejected, not a crash.
+    std::string deep;
+    for (std::size_t i = 0; i < 1'000'000; ++i) deep += "x [ ";
+    EXPECT_THROW((void)read_gml(deep), parse_error);
+}
+
 TEST(Gml, RejectsMalformed) {
     EXPECT_THROW(read_gml("graph [ node [ id 0 ]"), parse_error); // unterminated
     EXPECT_THROW(read_gml("nograph 1"), model_error);

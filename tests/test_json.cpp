@@ -42,6 +42,19 @@ TEST(JsonParser, RejectsMalformedInput) {
     EXPECT_THROW(parse(R"("\ud800x")"), parse_error); // unpaired surrogate
 }
 
+TEST(JsonParser, RejectsNestingPastTheBound) {
+    const auto arrays = [](std::size_t depth) {
+        return std::string(depth, '[') + std::string(depth, ']');
+    };
+    EXPECT_NO_THROW((void)parse(arrays(k_max_nesting)));
+    EXPECT_THROW((void)parse(arrays(k_max_nesting + 1)), parse_error);
+    // Far deeper than the stack could recurse: rejected, not a crash.
+    EXPECT_THROW((void)parse(std::string(1'000'000, '[')), parse_error);
+    std::string objects;
+    for (std::size_t i = 0; i < 1'000'000; ++i) objects += R"({"a":)";
+    EXPECT_THROW((void)parse(objects), parse_error);
+}
+
 TEST(JsonParser, LocationFileShape) {
     const auto value = parse(R"({ "R0": { "lat": 46.5, "lng": 7.3} })");
     EXPECT_DOUBLE_EQ(value.at("R0").at("lat").as_double(), 46.5);

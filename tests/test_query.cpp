@@ -118,6 +118,16 @@ TEST_F(QueryParser, MalformedQueriesAreErrors) {
     EXPECT_THROW(query::parse_query("<ip> [v0#] <ip> 0", net), parse_error); // bad side
 }
 
+TEST_F(QueryParser, RejectsGroupsNestedPastTheBound) {
+    const auto nested = [](std::size_t depth) {
+        return "<ip> " + std::string(depth, '(') + "." + std::string(depth, ')') + " <ip> 0";
+    };
+    EXPECT_NO_THROW((void)query::parse_query(nested(k_max_nesting), net));
+    EXPECT_THROW((void)query::parse_query(nested(k_max_nesting + 1), net), parse_error);
+    // Far deeper than the stack could recurse: rejected, not a crash.
+    EXPECT_THROW((void)query::parse_query(nested(1'000'000), net), parse_error);
+}
+
 TEST_F(QueryParser, QuotedNames) {
     const auto q = query::parse_query("<'40' ip> .* <ip> 0", net);
     // '40' resolves by raw name across strata: both s40 (bos "40") exists.

@@ -2,8 +2,8 @@
 // instantiation helper, and the sweep ≡ one-by-one equivalence battery —
 // every cell must be byte-identical (canonical result JSON, witness traces
 // included) to an independent verify_batch run of the same query on the
-// same scenario network, across lazy/eager translation and solver-thread
-// counts.  AALWINES_SWEEP_BATTERY scales the battery (nightly runs it on a
+// same scenario network, across engines and worker counts.
+// AALWINES_SWEEP_BATTERY scales the battery (nightly runs it on a
 // NORDUnet-like instance).
 
 #include <gtest/gtest.h>
@@ -175,18 +175,17 @@ TEST(Sweep, MatchesOneByOneAcrossModesAndThreads) {
     spec.scenarios = make_single_failure_scenarios(net.network, 5);
 
     const auto weights = parse_weight_expression("hops");
-    for (const auto translation : {TranslationMode::Lazy, TranslationMode::Eager}) {
+    for (const auto engine : {EngineKind::Weighted, EngineKind::Exact}) {
         for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
             VerifyOptions options;
-            options.engine = EngineKind::Weighted;
+            options.engine = engine;
             options.weights = &weights;
-            options.translation = translation;
             const auto sweep = run_sweep(net.network, spec, options, jobs);
-            SCOPED_TRACE("translation=" + std::string(to_string(translation)) +
+            SCOPED_TRACE("engine=" + std::string(to_string(engine)) +
                          " jobs=" + std::to_string(jobs));
             expect_equivalent(net.network, spec, sweep, options);
-            // Eager translations cannot rebase: every cell saturates cold.
-            if (translation == TranslationMode::Eager) {
+            // The exact engine cannot rebase: every cell saturates cold.
+            if (engine == EngineKind::Exact) {
                 EXPECT_EQ(sweep.stats.cold_saturations, sweep.stats.cells);
             }
         }
@@ -250,15 +249,10 @@ TEST(Sweep, NightlyBattery) {
     spec.failure_budgets = {0, 1};
     spec.scenarios = make_single_failure_scenarios(net.network, 4 * scale);
 
-    for (const auto translation : {TranslationMode::Lazy, TranslationMode::Eager}) {
-        for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
-            VerifyOptions options;
-            options.translation = translation;
-            const auto sweep = run_sweep(net.network, spec, options, jobs);
-            SCOPED_TRACE("translation=" + std::string(to_string(translation)) +
-                         " jobs=" + std::to_string(jobs));
-            expect_equivalent(net.network, spec, sweep, options);
-        }
+    for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+        const auto sweep = run_sweep(net.network, spec, {}, jobs);
+        SCOPED_TRACE("jobs=" + std::to_string(jobs));
+        expect_equivalent(net.network, spec, sweep, {});
     }
 }
 

@@ -11,6 +11,7 @@
 #include "telemetry/exposition.hpp"
 #include "telemetry/telemetry.hpp"
 #include "verify/batch.hpp"
+#include "verify/translation.hpp"
 
 namespace {
 
@@ -24,9 +25,6 @@ const std::vector<std::string> k_queries = {
 };
 
 TEST(Telemetry, SpanNestingAndOrdering) {
-#if !AALWINES_TELEMETRY_ENABLED
-    GTEST_SKIP() << "telemetry compiled out";
-#else
     telemetry::reset();
     {
         AALWINES_SPAN("outer");
@@ -51,13 +49,9 @@ TEST(Telemetry, SpanNestingAndOrdering) {
         EXPECT_LE(child.start_us + child.duration_us,
                   outer->start_us + outer->duration_us + 1.0 /* µs rounding */);
     }
-#endif
 }
 
 TEST(Telemetry, OpenSpanSurvivesResetAndIsMarkedOpen) {
-#if !AALWINES_TELEMETRY_ENABLED
-    GTEST_SKIP() << "telemetry compiled out";
-#else
     telemetry::reset();
     AALWINES_SPAN("held_open");
     telemetry::reset(); // must keep the open chain, re-rooted
@@ -70,7 +64,6 @@ TEST(Telemetry, OpenSpanSurvivesResetAndIsMarkedOpen) {
                 EXPECT_TRUE(root.open);
             }
     EXPECT_TRUE(found);
-#endif
 }
 
 TEST(Telemetry, PipelineCountersFire) {
@@ -80,7 +73,6 @@ TEST(Telemetry, PipelineCountersFire) {
     for (const auto& item : batch) EXPECT_TRUE(item.error.empty()) << item.error;
 
     const auto snap = telemetry::snapshot();
-#if AALWINES_TELEMETRY_ENABLED
     using C = telemetry::Counter;
     EXPECT_EQ(snap.counter(C::queries_parsed), k_queries.size());
     EXPECT_GT(snap.counter(C::nfa_states_built), 0u);
@@ -98,26 +90,21 @@ TEST(Telemetry, PipelineCountersFire) {
     EXPECT_GT(snap.gauge(telemetry::Gauge::transition_high_water), 0u);
     EXPECT_GT(snap.gauge(telemetry::Gauge::worklist_high_water), 0u);
 
-    // The eager pipeline still fires the emission and reduction counters.
+    // The eager reference build still fires the emission and reduction
+    // counters.
     telemetry::reset();
-    verify::VerifyOptions eager;
-    eager.translation = verify::TranslationMode::Eager;
-    const auto eager_batch = verify::verify_batch(network, k_queries, eager, 1);
-    for (const auto& item : eager_batch) EXPECT_TRUE(item.error.empty()) << item.error;
+    for (const auto& text : k_queries) {
+        const auto query = query::parse_query(text, network);
+        verify::TranslationCache eager(network, query, nullptr, /*lazy=*/false);
+        (void)verify::verify(network, query, {}, eager);
+    }
     const auto eager_snap = telemetry::snapshot();
     EXPECT_GT(eager_snap.counter(C::pda_rules_emitted), 0u);
     EXPECT_GT(eager_snap.counter(C::reduction_rules_pruned), 0u);
     EXPECT_EQ(eager_snap.counter(C::pda_rules_materialized), 0u);
-#else
-    for (const auto value : snap.counters) EXPECT_EQ(value, 0u);
-    EXPECT_TRUE(snap.threads.empty());
-#endif
 }
 
 TEST(Telemetry, CounterTotalsAreThreadCountInvariant) {
-#if !AALWINES_TELEMETRY_ENABLED
-    GTEST_SKIP() << "telemetry compiled out";
-#else
     const auto network = synthesis::make_figure1_network();
 
     telemetry::reset();
@@ -150,7 +137,6 @@ TEST(Telemetry, CounterTotalsAreThreadCountInvariant) {
     EXPECT_GT(serial_pct.count, 0u);
     EXPECT_EQ(serial_pct.sum, parallel_pct.sum);
     EXPECT_EQ(serial_pct.buckets, parallel_pct.buckets);
-#endif
 }
 
 TEST(Telemetry, HistogramBucketBoundaries) {
@@ -209,9 +195,6 @@ TEST(Telemetry, HistogramQuantileInterpolation) {
 }
 
 TEST(Telemetry, HistogramMergeIsByteIdenticalAcrossThreadCounts) {
-#if !AALWINES_TELEMETRY_ENABLED
-    GTEST_SKIP() << "telemetry compiled out";
-#else
     constexpr auto k_hist = telemetry::Histogram::materialized_rule_pct;
     // 256 deterministic observations, recorded once on one thread and once
     // spread over 8 threads: the merged snapshot must be byte-identical.
@@ -241,13 +224,9 @@ TEST(Telemetry, HistogramMergeIsByteIdenticalAcrossThreadCounts) {
     EXPECT_EQ(a.buckets, b.buckets);
     // And hence identical serializations, quantiles included.
     EXPECT_EQ(telemetry::to_json(single, 0), telemetry::to_json(merged, 0));
-#endif
 }
 
 TEST(Telemetry, PrometheusExposition) {
-#if !AALWINES_TELEMETRY_ENABLED
-    GTEST_SKIP() << "telemetry compiled out";
-#else
     telemetry::reset();
     // 1000ns request -> bucket [512, 1023], le boundary 1023 * 1e-9.
     telemetry::observe(telemetry::Histogram::request_duration, 1000);
@@ -283,7 +262,6 @@ TEST(Telemetry, PrometheusExposition) {
 
     // Buckets are cumulative: the +Inf bucket equals the _count series.
     EXPECT_TRUE(has("aalwines_query_duration_seconds_count{engine=\"dual\"} 1\n"));
-#endif
 }
 
 TEST(Telemetry, ChromeTraceExport) {
@@ -294,7 +272,6 @@ TEST(Telemetry, ChromeTraceExport) {
     const auto document = json::parse(telemetry::to_chrome_trace(telemetry::snapshot()));
     EXPECT_EQ(document.at("displayTimeUnit").as_string(), "ms");
     const auto& events = document.at("traceEvents").as_array();
-#if AALWINES_TELEMETRY_ENABLED
     ASSERT_FALSE(events.empty());
     for (const auto& event : events) {
         EXPECT_EQ(event.at("ph").as_string(), "X");
@@ -304,9 +281,6 @@ TEST(Telemetry, ChromeTraceExport) {
         EXPECT_TRUE(event.find("pid") != nullptr);
         EXPECT_TRUE(event.find("tid") != nullptr);
     }
-#else
-    EXPECT_TRUE(events.empty());
-#endif
 }
 
 TEST(Telemetry, TraceJsonRoundTrip) {
@@ -336,11 +310,8 @@ TEST(Telemetry, TraceJsonRoundTrip) {
         EXPECT_GT(entry.at("count").as_int(), 0) << name;
         EXPECT_TRUE(entry.at("buckets").is_array()) << name;
     }
-#if AALWINES_TELEMETRY_ENABLED
     EXPECT_TRUE(histograms.contains("query_duration_dual"));
-#endif
     ASSERT_TRUE(document.at("threads").is_array());
-#if AALWINES_TELEMETRY_ENABLED
     ASSERT_FALSE(document.at("threads").as_array().empty());
     const auto& first_thread = document.at("threads").as_array().front().as_object();
     ASSERT_TRUE(first_thread.contains("spans"));
@@ -351,7 +322,6 @@ TEST(Telemetry, TraceJsonRoundTrip) {
     EXPECT_TRUE(span.contains("start_us"));
     EXPECT_TRUE(span.contains("duration_us"));
     EXPECT_TRUE(span.contains("children"));
-#endif
 }
 
 TEST(Telemetry, PeakRssIsReported) {

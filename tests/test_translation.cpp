@@ -10,6 +10,14 @@
 namespace aalwines::verify {
 namespace {
 
+/// verify() on the eager reference build: a fresh eager translation cache
+/// per call, as verify() builds its own lazy one.
+VerifyResult verify_eager(const Network& net, const query::Query& query,
+                          const VerifyOptions& options = {}) {
+    TranslationCache eager(net, query, translation_weights(options), /*lazy=*/false);
+    return verify(net, query, options, eager);
+}
+
 class TranslationFixture : public ::testing::Test {
 protected:
     Network net = synthesis::make_figure1_network();
@@ -284,12 +292,8 @@ TEST_F(TranslationFixture, LazyVerifyMatchesEagerVerify) {
     };
     for (const auto& text : queries) {
         const auto query = parse(text);
-        VerifyOptions lazy_opts;
-        lazy_opts.translation = TranslationMode::Lazy;
-        VerifyOptions eager_opts;
-        eager_opts.translation = TranslationMode::Eager;
-        const auto lazy = verify(net, query, lazy_opts);
-        const auto eager = verify(net, query, eager_opts);
+        const auto lazy = verify(net, query);
+        const auto eager = verify_eager(net, query);
         EXPECT_EQ(lazy.answer, eager.answer) << text;
         EXPECT_EQ(lazy.weight, eager.weight) << text;
         ASSERT_EQ(lazy.trace.has_value(), eager.trace.has_value()) << text;
@@ -309,12 +313,12 @@ TEST_F(TranslationFixture, LazyVerifyMatchesEagerVerify) {
 TEST_F(TranslationFixture, LazyWeightedVerifyMatchesEager) {
     const auto query = parse("<smpls? ip> [.#v0] . . . .* [v3#.] <smpls? ip> 1");
     const auto weights = parse_weight_expression("hops, failures + 3*tunnels");
-    for (const auto mode : {TranslationMode::Lazy, TranslationMode::Eager}) {
-        VerifyOptions options;
-        options.engine = EngineKind::Weighted;
-        options.weights = &weights;
-        options.translation = mode;
-        const auto result = verify(net, query, options);
+    VerifyOptions options;
+    options.engine = EngineKind::Weighted;
+    options.weights = &weights;
+    for (const bool lazy : {true, false}) {
+        const auto result = lazy ? verify(net, query, options)
+                                 : verify_eager(net, query, options);
         EXPECT_EQ(result.answer, Answer::Yes);
         EXPECT_EQ(result.weight, (std::vector<std::uint64_t>{5, 0}));
         ASSERT_TRUE(result.trace.has_value());
@@ -336,12 +340,8 @@ TEST(TranslationLazy, NordunetBatteryMatchesEagerAndSavesWork) {
     std::size_t partial = 0;
     for (const auto& text : battery) {
         const auto query = query::parse_query(text, net);
-        VerifyOptions lazy_opts;
-        lazy_opts.translation = TranslationMode::Lazy;
-        VerifyOptions eager_opts;
-        eager_opts.translation = TranslationMode::Eager;
-        const auto lazy = verify(net, query, lazy_opts);
-        const auto eager = verify(net, query, eager_opts);
+        const auto lazy = verify(net, query);
+        const auto eager = verify_eager(net, query);
         EXPECT_EQ(lazy.answer, eager.answer) << text;
         EXPECT_EQ(lazy.weight, eager.weight) << text;
         ASSERT_EQ(lazy.trace.has_value(), eager.trace.has_value()) << text;

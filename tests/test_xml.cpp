@@ -51,6 +51,21 @@ TEST(XmlParser, RejectsUnterminatedTag) {
     EXPECT_THROW(parse("<a attr=\"v\""), parse_error);
 }
 
+TEST(XmlParser, RejectsNestingPastTheBound) {
+    const auto nested = [](std::size_t depth) {
+        std::string text;
+        for (std::size_t i = 0; i < depth; ++i) text += "<a>";
+        for (std::size_t i = 0; i < depth; ++i) text += "</a>";
+        return text;
+    };
+    EXPECT_NO_THROW((void)parse(nested(k_max_nesting)));
+    EXPECT_THROW((void)parse(nested(k_max_nesting + 1)), parse_error);
+    // Far deeper than the stack could recurse: rejected, not a crash.
+    std::string deep;
+    for (std::size_t i = 0; i < 1'000'000; ++i) deep += "<a>";
+    EXPECT_THROW((void)parse(deep), parse_error);
+}
+
 TEST(XmlParser, ReportsErrorPosition) {
     try {
         (void)parse("<a>\n  <b>\n</a>");
