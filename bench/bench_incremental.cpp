@@ -24,6 +24,7 @@
 #include "cli/options.hpp"
 #include "delta/delta.hpp"
 #include "delta/reverify.hpp"
+#include "delta/session.hpp"
 #include "io/results_json.hpp"
 #include "query/query.hpp"
 
@@ -197,12 +198,13 @@ void incremental_reverify(benchmark::State& state) {
 
 void incremental_cold_recompile(benchmark::State& state) {
     const auto instance = make_instance(static_cast<std::size_t>(state.range(0)));
-    // max_sessions = 0: the Reverifier still applies deltas and versions
-    // snapshots, but every verify() is a from-scratch cold run — the same
-    // work a PATCH-oblivious deployment would redo each time.
-    delta::Reverifier reverifier(std::make_shared<const Network>(instance.net.network),
-                                 /*max_sessions=*/0);
-    const auto sites = collect_sites(*reverifier.network());
+    // Each answer comes from a fresh delta::Session, so it is a from-scratch
+    // cold run — the same work a PATCH-oblivious deployment would redo each
+    // time.
+    auto network = std::make_shared<const Network>(instance.net.network);
+    WeightExpr weights;
+    const auto options = cli::make_verify_options(instance.spec, weights);
+    const auto sites = collect_sites(*network);
 
     std::mt19937 rng(0x5eed); // same delta sequence as incremental_reverify
     std::uniform_int_distribution<std::size_t> pick(0, sites.size() - 1);
@@ -216,8 +218,9 @@ void incremental_cold_recompile(benchmark::State& state) {
         removed[index] ^= 1;
 
         const auto begin = std::chrono::steady_clock::now();
-        reverifier.apply(delta);
-        const auto outcome = reverifier.verify(instance.query_text, instance.spec);
+        network = delta::apply_delta(*network, delta).network;
+        delta::Session session(instance.query_text, options);
+        const auto outcome = session.answer(network, nullptr, nullptr, /*anchor=*/false);
         turnaround_ms.push_back(
             std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - begin)
                 .count());

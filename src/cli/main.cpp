@@ -51,7 +51,6 @@ void usage(std::ostream& out) {
         "  --engine E           moped | dual | weighted | exact  (default dual)\n"
         "  --weight W           weight vector, e.g. 'hops, failures + 3*tunnels'\n"
         "                       (implies --engine weighted)\n"
-        "  --reduction N        PDA reduction level 0|1|2  (default 2)\n"
         "  --locations FILE     apply router coordinates (JSON)\n"
         "  --queries-file F     read one query per line from F ('#' comments)\n"
         "  --battery N          also verify N generated battery queries (the\n"
@@ -272,11 +271,7 @@ int serve_main(const cli::ServeCli& serve) {
     server::Service service(service_config);
 
     if (!serve.preload.empty()) {
-        Network network = cli::load_network(serve.preload);
-        if (!serve.preload.locations_file.empty())
-            io::apply_locations_json(read_file(serve.preload.locations_file),
-                                     network.topology);
-        const auto workspace = service.workspaces().add(std::move(network));
+        const auto workspace = service.workspaces().add(cli::load_network(serve.preload));
         std::cerr << "aalwines: preloaded network '" << workspace.network->name
                   << "' as " << workspace.id << "\n";
     }
@@ -325,9 +320,6 @@ char cell_char(const verify::SweepCell& cell) {
 
 int sweep_main(const cli::SweepCli& sweep_cli) {
     Network network = cli::load_network(sweep_cli.source);
-    if (!sweep_cli.source.locations_file.empty())
-        io::apply_locations_json(read_file(sweep_cli.source.locations_file),
-                                 network.topology);
     const auto spec = cli::make_sweep_spec(sweep_cli, network);
     WeightExpr weights;
     const auto options = cli::make_verify_options(sweep_cli.spec, weights);
@@ -403,8 +395,6 @@ int sweep_main(const cli::SweepCli& sweep_cli) {
 
 int run_cli(const cli::Cli& cli) {
     Network network = cli::load_network(cli.source);
-    if (!cli.source.locations_file.empty())
-        io::apply_locations_json(read_file(cli.source.locations_file), network.topology);
 
     bool validation_ok = true;
     if (cli.validate) {

@@ -91,31 +91,36 @@ std::string read_file(const std::string& path) {
 }
 
 Network load_network(const NetworkSource& source) {
-    if (!source.demo.empty()) return load_demo(source.demo);
-    if (!source.isis_file.empty()) {
-        const auto base = std::filesystem::path(source.isis_file).parent_path();
-        const auto entries = io::parse_isis_mapping(read_file(source.isis_file));
-        std::vector<io::IsisRouterDocuments> documents;
-        for (const auto& entry : entries) {
-            io::IsisRouterDocuments doc;
-            doc.entry = entry;
-            if (!entry.is_edge()) {
-                doc.adjacency_xml = read_file((base / entry.adjacency_file).string());
-                doc.route_xml = read_file((base / entry.route_file).string());
-                doc.pfe_xml = read_file((base / entry.pfe_file).string());
+    Network network = [&] {
+        if (!source.demo.empty()) return load_demo(source.demo);
+        if (!source.isis_file.empty()) {
+            const auto base = std::filesystem::path(source.isis_file).parent_path();
+            const auto entries = io::parse_isis_mapping(read_file(source.isis_file));
+            std::vector<io::IsisRouterDocuments> documents;
+            for (const auto& entry : entries) {
+                io::IsisRouterDocuments doc;
+                doc.entry = entry;
+                if (!entry.is_edge()) {
+                    doc.adjacency_xml = read_file((base / entry.adjacency_file).string());
+                    doc.route_xml = read_file((base / entry.route_file).string());
+                    doc.pfe_xml = read_file((base / entry.pfe_file).string());
+                }
+                documents.push_back(std::move(doc));
             }
-            documents.push_back(std::move(doc));
+            return io::read_isis(documents);
         }
-        return io::read_isis(documents);
-    }
-    if (!source.gml_file.empty())
-        return load_gml_text(read_file(source.gml_file), source.gml_file);
-    if (!source.topology_file.empty() && !source.routing_file.empty())
-        return io::read_network_xml(read_file(source.topology_file),
-                                    read_file(source.routing_file));
-    if (!source.topology_file.empty() || !source.routing_file.empty())
-        throw usage_error("--topology and --routing must be given together");
-    throw usage_error("no network given (use --topology/--routing, --gml or --demo)");
+        if (!source.gml_file.empty())
+            return load_gml_text(read_file(source.gml_file), source.gml_file);
+        if (!source.topology_file.empty() && !source.routing_file.empty())
+            return io::read_network_xml(read_file(source.topology_file),
+                                        read_file(source.routing_file));
+        if (!source.topology_file.empty() || !source.routing_file.empty())
+            throw usage_error("--topology and --routing must be given together");
+        throw usage_error("no network given (use --topology/--routing, --gml or --demo)");
+    }();
+    if (!source.locations_file.empty())
+        io::apply_locations_json(read_file(source.locations_file), network.topology);
+    return network;
 }
 
 Network load_network(const NetworkDocuments& documents) {
@@ -137,8 +142,6 @@ void VerifySpec::append_key(std::string& key) const {
     key += '\x1f';
     key += weight;
     key += '\x1f';
-    key += std::to_string(reduction);
-    key += '\x1f';
     key += std::to_string(witnesses);
     key += '\x1f';
     key += std::to_string(max_iterations);
@@ -148,9 +151,6 @@ void VerifySpec::append_key(std::string& key) const {
 
 verify::VerifyOptions make_verify_options(const VerifySpec& spec, WeightExpr& weights) {
     verify::VerifyOptions options;
-    if (spec.reduction < 0 || spec.reduction > 2)
-        throw usage_error("--reduction expects 0, 1 or 2");
-    options.reduction_level = spec.reduction;
     options.build_trace = spec.trace;
     options.max_witnesses = spec.witnesses;
     options.max_iterations = spec.max_iterations;
@@ -225,7 +225,6 @@ bool source_flag(Args& args, const std::string& arg, NetworkSource& source) {
 bool spec_flag(Args& args, const std::string& arg, VerifySpec& spec) {
     if (arg == "--engine") spec.engine = args.value();
     else if (arg == "--weight") spec.weight = args.value();
-    else if (arg == "--reduction") spec.reduction = parse_int(arg, args.value());
     else if (arg == "--witnesses") spec.witnesses = parse_size(arg, args.value());
     else if (arg == "--max-iterations") spec.max_iterations = parse_size(arg, args.value());
     else if (arg == "--no-trace") spec.trace = false;

@@ -72,7 +72,6 @@ struct NetworkDocuments {
 struct VerifySpec {
     std::string engine = "dual"; ///< moped | dual | weighted | exact
     std::string weight;          ///< weight expression (implies weighted)
-    int reduction = 2;           ///< PDA reduction level 0|1|2
     bool trace = true;           ///< reconstruct witness traces
     std::size_t witnesses = 1;   ///< max distinct witness traces
     std::size_t max_iterations = 0; ///< saturation cap, 0 = unlimited

@@ -24,21 +24,21 @@ struct Reverifier::Slot {
     std::uint64_t last_used = 0; ///< LRU tick
 };
 
-Reverifier::Reverifier(std::shared_ptr<const Network> network, std::size_t max_sessions)
-    : _network(std::move(network)), _max_sessions(max_sessions) {
-    AALWINES_CHECK(_network != nullptr, "Reverifier requires a network snapshot");
+Reverifier::Reverifier(std::shared_ptr<const Network> network)
+    : _current{std::move(network)} {
+    AALWINES_CHECK(_current.network != nullptr, "Reverifier requires a network snapshot");
 }
 
 Reverifier::~Reverifier() = default;
 
-std::shared_ptr<const Network> Reverifier::network() const {
+Reverifier::Snapshot Reverifier::snapshot() const {
     const util::MutexLock lock(_mutex);
-    return _network;
+    return _current;
 }
 
-std::uint64_t Reverifier::generation() const {
+std::shared_ptr<const Network> Reverifier::network() const {
     const util::MutexLock lock(_mutex);
-    return _generation;
+    return _current.network;
 }
 
 Reverifier::Applied Reverifier::apply(const NetworkDelta& delta) {
@@ -47,21 +47,21 @@ Reverifier::Applied Reverifier::apply(const NetworkDelta& delta) {
     // dominant cost and in-flight queries never wait on it — they hold
     // their own snapshot.
     const util::MutexLock lock(_mutex);
-    auto applied = apply_delta(*_network, delta);
-    _network = std::move(applied.network);
-    ++_generation;
+    auto applied = apply_delta(*_current.network, delta);
+    _current = {std::move(applied.network), _current.generation + 1};
     _effects.push_back(applied.effects);
     while (_effects.size() > k_effects_window) {
         _effects.pop_front();
         ++_effects_base;
     }
-    return {_generation, _network, std::move(applied.effects)};
+    return {_current.generation, _current.network, std::move(applied.effects)};
 }
 
 std::optional<DeltaEffects> Reverifier::effects_since(std::uint64_t base) const {
     if (base < _effects_base) return std::nullopt; // window trimmed past it
     DeltaEffects out;
-    for (std::uint64_t g = base; g < _generation; ++g) out.merge(_effects[g - _effects_base]);
+    for (std::uint64_t g = base; g < _current.generation; ++g)
+        out.merge(_effects[g - _effects_base]);
     return out;
 }
 
@@ -70,15 +70,13 @@ Reverifier::Outcome Reverifier::verify(const std::string& query_text,
     std::string key = query_text;
     key += '\x1f';
     spec.append_key(key);
-    std::shared_ptr<const Network> current;
-    std::uint64_t gen = 0;
+    Snapshot current;
     Slot* slot = nullptr; ///< the claimed pooled session, if any
     bool busy = false;    ///< another thread is answering through this key's session
     std::optional<DeltaEffects> pending; ///< deltas in (slot generation, current]
     {
         const util::MutexLock lock(_mutex);
-        current = _network;
-        gen = _generation;
+        current = _current;
         if (auto it = _sessions.find(key); it != _sessions.end()) {
             busy = it->second->busy;
             if (!busy) {
@@ -91,12 +89,12 @@ Reverifier::Outcome Reverifier::verify(const std::string& query_text,
     }
 
     // No claimable session: a fresh one, pooled when it can ever go warm.  A
-    // busy session (rather than wait), disabled sessions or an engine that
-    // cannot rebase answer cold through one that is dropped afterwards.
+    // busy session (rather than wait) or an engine that cannot rebase answer
+    // cold through one that is dropped afterwards.
     std::unique_ptr<Slot> fresh;
     if (slot == nullptr) {
         fresh = std::make_unique<Slot>(query_text, spec);
-        if (!busy && _max_sessions > 0 && warm_capable(fresh->options)) {
+        if (!busy && warm_capable(fresh->options)) {
             const util::MutexLock lock(_mutex);
             if (_sessions.find(key) == _sessions.end()) { // else lost the creation race
                 fresh->last_used = ++_session_clock;
@@ -105,7 +103,7 @@ Reverifier::Outcome Reverifier::verify(const std::string& query_text,
                 // LRU-evict idle sessions beyond the cap (busy ones are
                 // skipped; transiently exceeding the cap while every session
                 // is busy is fine — the next insertion retries).
-                while (_sessions.size() > _max_sessions) {
+                while (_sessions.size() > k_max_sessions) {
                     auto victim = _sessions.end();
                     for (auto it = _sessions.begin(); it != _sessions.end(); ++it) {
                         if (it->second->busy) continue;
@@ -124,7 +122,8 @@ Reverifier::Outcome Reverifier::verify(const std::string& query_text,
     const DeltaEffects* since = pending ? &*pending : nullptr;
     Session::Answer answer;
     try {
-        answer = used.session.answer(current, since, since, /*anchor=*/slot != nullptr);
+        answer = used.session.answer(current.network, since, since,
+                                     /*anchor=*/slot != nullptr);
     } catch (...) {
         if (slot != nullptr) { // no half-rebased session survives
             const util::MutexLock lock(_mutex);
@@ -132,8 +131,8 @@ Reverifier::Outcome Reverifier::verify(const std::string& query_text,
         }
         throw;
     }
-    if (answer.tier != Tier::Reused) used.generation = gen;
-    Outcome out{std::move(answer.result), answer.tier, used.generation};
+    if (answer.tier != Tier::Reused) used.generation = current.generation;
+    Outcome out{std::move(answer.result), answer.tier, std::move(current)};
     if (slot != nullptr) {
         const util::MutexLock lock(_mutex);
         slot->busy = false;

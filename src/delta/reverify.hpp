@@ -33,11 +33,8 @@ using VerifyPath = Tier;
 
 class Reverifier {
 public:
-    /// `network`: the generation-0 snapshot.  `max_sessions` bounds the
-    /// per-query session pool (LRU-evicted; 0 disables sessions entirely,
-    /// making every verify() Cold).
-    explicit Reverifier(std::shared_ptr<const Network> network,
-                        std::size_t max_sessions = 64);
+    /// `network`: the generation-0 snapshot.
+    explicit Reverifier(std::shared_ptr<const Network> network);
     ~Reverifier();
 
     Reverifier(const Reverifier&) = delete;
@@ -55,10 +52,18 @@ public:
     /// verifications keep their own snapshot and are unaffected.
     Applied apply(const NetworkDelta& delta);
 
+    /// One published generation and its network.
+    struct Snapshot {
+        std::shared_ptr<const Network> network;
+        std::uint64_t generation = 0; ///< 0 as constructed, +1 per apply()
+    };
+
     struct Outcome {
         verify::VerifyResult result;
         Tier path = Tier::Cold;
-        std::uint64_t generation = 0; ///< generation the result was computed on
+        /// The snapshot the result answers for; render and key it with this
+        /// one, which a concurrent apply() may already have superseded.
+        Snapshot snapshot;
     };
 
     /// Verify `query_text` under `spec` against the current generation.
@@ -67,9 +72,10 @@ public:
     [[nodiscard]] Outcome verify(const std::string& query_text,
                                  const cli::VerifySpec& spec);
 
-    /// The current snapshot (for stats endpoints; cheap pointer copy).
+    /// The current snapshot, network and generation read under one lock.
+    [[nodiscard]] Snapshot snapshot() const;
+    /// The current snapshot's network (cheap pointer copy).
     [[nodiscard]] std::shared_ptr<const Network> network() const;
-    [[nodiscard]] std::uint64_t generation() const;
 
 private:
     struct Slot;
@@ -80,8 +86,7 @@ private:
         REQUIRES(_mutex);
 
     mutable util::Mutex _mutex;
-    std::shared_ptr<const Network> _network GUARDED_BY(_mutex);
-    std::uint64_t _generation GUARDED_BY(_mutex) = 0;
+    Snapshot _current GUARDED_BY(_mutex);
     /// effects of the delta generation g -> g+1 sits at index
     /// g - _effects_base; trimmed from the front once the window exceeds
     /// k_effects_window (sessions older than the window rebuild Cold).
@@ -89,9 +94,9 @@ private:
     std::uint64_t _effects_base GUARDED_BY(_mutex) = 0;
     std::unordered_map<std::string, std::unique_ptr<Slot>> _sessions GUARDED_BY(_mutex);
     std::uint64_t _session_clock GUARDED_BY(_mutex) = 0; ///< LRU tick
-    std::size_t _max_sessions;
 
     static constexpr std::size_t k_effects_window = 1024;
+    static constexpr std::size_t k_max_sessions = 64; ///< LRU-evicted beyond this
 };
 
 } // namespace aalwines::delta

@@ -47,9 +47,14 @@ Regex Regex::alt(std::vector<Regex> children) {
     return r;
 }
 
+// star, plus and opt fold a unary child, so stacked postfix operators nest
+// one level however many there are.
+
 Regex Regex::star(Regex child) {
     if (child.kind() == Kind::Empty || child.kind() == Kind::Epsilon) return epsilon();
-    if (child.kind() == Kind::Star) return child;
+    // (r*)* = (r+)* = (r?)* = r*
+    if (child.kind() == Kind::Star || child.kind() == Kind::Plus || child.kind() == Kind::Opt)
+        return star(std::move(child._children.front()));
     Regex r(Kind::Star);
     r._children.push_back(std::move(child));
     return r;
@@ -58,6 +63,9 @@ Regex Regex::star(Regex child) {
 Regex Regex::plus(Regex child) {
     if (child.kind() == Kind::Empty) return empty();
     if (child.kind() == Kind::Epsilon) return epsilon();
+    // (r+)+ = r+, (r*)+ = r*, (r?)+ = r*
+    if (child.kind() == Kind::Plus || child.kind() == Kind::Star) return child;
+    if (child.kind() == Kind::Opt) return star(std::move(child._children.front()));
     Regex r(Kind::Plus);
     r._children.push_back(std::move(child));
     return r;
@@ -65,17 +73,12 @@ Regex Regex::plus(Regex child) {
 
 Regex Regex::opt(Regex child) {
     if (child.kind() == Kind::Empty || child.kind() == Kind::Epsilon) return epsilon();
+    // (r?)? = r?, (r*)? = r*, (r+)? = r*
+    if (child.kind() == Kind::Opt || child.kind() == Kind::Star) return child;
+    if (child.kind() == Kind::Plus) return star(std::move(child._children.front()));
     Regex r(Kind::Opt);
     r._children.push_back(std::move(child));
     return r;
-}
-
-Regex Regex::repeat(const Regex& child, std::size_t n) {
-    if (n == 0) return epsilon();
-    std::vector<Regex> copies;
-    copies.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) copies.push_back(child);
-    return concat(std::move(copies));
 }
 
 bool Regex::nullable() const {

@@ -35,9 +35,6 @@ public:
     [[nodiscard]] static Regex plus(Regex child);
     [[nodiscard]] static Regex opt(Regex child);
 
-    /// Exactly n repetitions of `child`.
-    [[nodiscard]] static Regex repeat(const Regex& child, std::size_t n);
-
     [[nodiscard]] Kind kind() const noexcept { return _kind; }
     [[nodiscard]] const SymbolSet& symbols() const { return _symbols; }
     [[nodiscard]] const std::vector<Regex>& children() const { return _children; }

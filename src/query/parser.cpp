@@ -39,6 +39,14 @@ SymbolSet resolve_label_name(const Network& network, const std::string& name) {
     return SymbolSet::of(std::move(ids)); // may be empty: atom matches nothing
 }
 
+/// The atoms of `regex`, one per occurrence: what a copy of it adds to a
+/// repetition's expansion.
+std::size_t atom_count(const Regex& regex) {
+    std::size_t atoms = regex.kind() == Regex::Kind::Atom ? 1 : 0;
+    for (const auto& child : regex.children()) atoms += atom_count(child);
+    return atoms;
+}
+
 struct Endpoint {
     bool wildcard = false;
     RouterId router = k_invalid_id;
@@ -82,6 +90,7 @@ private:
     const Network& _network;
     std::string_view _cur_text_backup;
     unsigned _depth = 0; ///< groups open around the current position
+    std::size_t _repeat_atoms = 0; ///< atoms the repetitions so far expanded to
 
     Regex parse_alt(Context context) {
         std::vector<Regex> branches;
@@ -113,33 +122,34 @@ private:
         }
     }
 
-    /// Bounded repetition r{n}, r{n,} and r{n,m} (language extension).
+    /// Bounded repetition r{n}, r{n,} and r{n,m} (language extension), as
+    /// one concatenation: n copies of r, then r* or m - n copies of r?.  All
+    /// of a query's repetitions together expand to at most
+    /// k_max_repeat_atoms atoms; every copy counts at least one, so
+    /// repeating ε or ∅ is bounded too.
     Regex parse_bounds(Regex atom) {
         const auto low = _cur.number();
-        std::optional<std::uint64_t> high;
-        bool open_ended = false;
+        std::optional<std::uint64_t> high; ///< none: open-ended
         if (_cur.try_consume(',')) {
-            if (_cur.lookahead() == '}') open_ended = true;
-            else high = _cur.number();
+            if (_cur.lookahead() != '}') high = _cur.number();
         } else {
             high = low;
         }
         _cur.expect('}');
         if (high && *high < low) _cur.fail("repetition bound {n,m} requires n <= m");
-        Regex result = Regex::repeat(atom, low);
-        if (open_ended) {
-            std::vector<Regex> parts;
-            parts.push_back(std::move(result));
-            parts.push_back(Regex::star(std::move(atom)));
-            return Regex::concat(std::move(parts));
-        }
-        for (std::uint64_t i = low; i < *high; ++i) {
-            std::vector<Regex> parts;
-            parts.push_back(std::move(result));
-            parts.push_back(Regex::opt(atom));
-            result = Regex::concat(std::move(parts));
-        }
-        return result;
+        const auto width = std::max<std::size_t>(atom_count(atom), 1);
+        std::vector<Regex> parts;
+        const auto append = [&](Regex part) {
+            _repeat_atoms += width;
+            if (_repeat_atoms > k_max_repeat_atoms)
+                _cur.fail("repetitions expand past " + std::to_string(k_max_repeat_atoms) +
+                          " atoms");
+            parts.push_back(std::move(part));
+        };
+        for (std::uint64_t i = 0; i < low; ++i) append(atom);
+        for (std::uint64_t i = low; high && i < *high; ++i) append(Regex::opt(atom));
+        if (!high) append(Regex::star(std::move(atom)));
+        return Regex::concat(std::move(parts));
     }
 
     Regex parse_atom(Context context) {

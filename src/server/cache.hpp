@@ -1,7 +1,7 @@
 #pragma once
 // Compiled-query LRU cache: memoizes VerifyResults keyed by everything that
 // determines them — network workspace, query text, engine, weight
-// expression, reduction level, witness count, iteration cap and trace flag
+// expression, witness count, iteration cap and trace flag
 // (cli::VerifySpec::append_key).  Repeat queries (the dominant interactive
 // pattern: re-checking the same invariants after each what-if edit) skip
 // parse, translation and saturation entirely.  Hit/miss totals land in the

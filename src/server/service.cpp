@@ -91,8 +91,6 @@ cli::VerifySpec spec_from_request(const json::Object& object) {
     spec.engine = string_field(object, "engine");
     if (spec.engine.empty()) spec.engine = "dual";
     spec.weight = string_field(object, "weight");
-    spec.reduction =
-        static_cast<int>(size_field(object, "reduction", static_cast<std::size_t>(2)));
     spec.trace = bool_field(object, "trace", true);
     spec.witnesses = size_field(object, "witnesses", 1);
     spec.max_iterations = size_field(object, "maxIterations", 0);
@@ -254,27 +252,11 @@ http::Response Service::handle_network_item(const http::Request& request,
     if (request.method == "PATCH") return handle_patch(request, *workspace, log);
     if (request.method == "DELETE") {
         _workspaces.erase(id);
-        {
-            const util::MutexLock lock(_mutex);
-            _reverifiers.erase(id);
-            _invalidations.erase(id);
-        }
         http::Response response;
         response.status = 204;
         return response;
     }
     return error_response(405, "use GET, PATCH or DELETE /networks/{id}");
-}
-
-std::shared_ptr<delta::Reverifier> Service::reverifier_for(const Workspace& workspace,
-                                                           bool create) {
-    const util::MutexLock lock(_mutex);
-    if (const auto it = _reverifiers.find(workspace.id); it != _reverifiers.end())
-        return it->second;
-    if (!create) return nullptr;
-    auto reverifier = std::make_shared<delta::Reverifier>(workspace.network);
-    _reverifiers.emplace(workspace.id, reverifier);
-    return reverifier;
 }
 
 http::Response Service::handle_patch(const http::Request& request,
@@ -283,18 +265,12 @@ http::Response Service::handle_patch(const http::Request& request,
     const auto parsed = json::parse(request.body);
     const auto delta = delta::NetworkDelta::from_json(parsed);
 
-    auto reverifier = reverifier_for(workspace, /*create=*/true);
-    const auto applied = reverifier->apply(delta); // model_error -> 422 via handle()
-    // Publish the snapshot, then retire every cached result of this
-    // workspace (and only this workspace) — the key's generation field
-    // already guarantees staleness can't be served, eviction frees memory.
-    _workspaces.update_network(workspace.id, applied.network, applied.generation);
+    // apply() publishes the next generation (model_error -> 422 via
+    // handle()).  Then retire every cached result of this workspace (and
+    // only this workspace) — the key's generation field already guarantees
+    // staleness can't be served, eviction frees memory.
+    const auto applied = workspace.reverifier->apply(delta);
     const auto evicted = _cache.invalidate(cache_scope(workspace.sequence));
-    std::uint64_t invalidations = 0;
-    {
-        const util::MutexLock lock(_mutex);
-        invalidations = ++_invalidations[workspace.id];
-    }
 
     telemetry::count(telemetry::Counter::server_patches);
     telemetry::observe_duration(
@@ -322,7 +298,7 @@ http::Response Service::handle_patch(const http::Request& request,
     body.emplace("operations", delta.ops.size());
     body.emplace("effects", json::Value(std::move(effects)));
     body.emplace("cacheEvictions", evicted);
-    body.emplace("invalidations", invalidations);
+    body.emplace("invalidations", applied.generation);
     return json_response(200, json::Value(std::move(body)));
 }
 
@@ -358,9 +334,12 @@ http::Response Service::handle_query(const http::Request& request,
     const auto options = cli::make_verify_options(spec, weights); // validates
 
     // Serve what the cache already has; verify only the misses, as a batch.
+    // A slot's key and network name the snapshot its result answers for:
+    // the looked-up one, unless the Reverifier answered on a newer one.
     struct Slot {
         std::string key;
         std::shared_ptr<const verify::VerifyResult> result;
+        std::shared_ptr<const Network> network;
         std::string error;
         std::optional<delta::Tier> tier; ///< set when the Reverifier answered
         bool cached = false;
@@ -371,6 +350,7 @@ http::Response Service::handle_query(const http::Request& request,
     for (std::size_t i = 0; i < texts.size(); ++i) {
         slots[i].key = cache_key(workspace.sequence, workspace.generation, texts[i], spec);
         slots[i].result = _cache.find(slots[i].key);
+        slots[i].network = workspace.network;
         slots[i].cached = slots[i].result != nullptr;
         if (!slots[i].cached) {
             missing.push_back(texts[i]);
@@ -383,14 +363,17 @@ http::Response Service::handle_query(const http::Request& request,
         // after a small delta reuses or rebases instead of recompiling.
         // Never-patched workspaces keep the plain batch path (parallel
         // across `jobs` workers, zero session overhead).
-        if (const auto reverifier = reverifier_for(workspace, /*create=*/false)) {
+        if (workspace.generation > 0) {
             for (std::size_t m = 0; m < missing.size(); ++m) {
                 auto& slot = slots[missing_index[m]];
                 try {
-                    auto outcome = reverifier->verify(missing[m], spec);
+                    auto outcome = workspace.reverifier->verify(missing[m], spec);
                     slot.tier = outcome.path;
                     slot.result = std::make_shared<const verify::VerifyResult>(
                         std::move(outcome.result));
+                    slot.key = cache_key(workspace.sequence, outcome.snapshot.generation,
+                                         missing[m], spec);
+                    slot.network = std::move(outcome.snapshot.network);
                     _cache.insert(slot.key, slot.result);
                 } catch (const std::exception& error) {
                     slot.error = error.what();
@@ -460,7 +443,7 @@ http::Response Service::handle_query(const http::Request& request,
             entry.emplace("error", slots[i].error);
             return json::Value(std::move(entry));
         }
-        auto entry = io::result_to_json_value(*workspace.network, texts[i],
+        auto entry = io::result_to_json_value(*slots[i].network, texts[i],
                                               *slots[i].result, stats);
         entry.as_object().emplace("cached", slots[i].cached);
         if (slots[i].tier)
@@ -621,14 +604,12 @@ http::Response Service::handle_metrics(const http::Request& request) {
     deltas.emplace("coldRebuilds", snap.counter(telemetry::Counter::delta_cold_rebuilds));
     deltas.emplace("statesInvalidated",
                    snap.counter(telemetry::Counter::delta_states_invalidated));
-    {
-        // Per-workspace invalidation totals: how often each loaded
-        // network's cached results were retired by a PATCH.
-        json::Object per_workspace;
-        const util::MutexLock lock(_mutex);
-        for (const auto& [id, count] : _invalidations) per_workspace.emplace(id, count);
-        deltas.emplace("invalidations", json::Value(std::move(per_workspace)));
-    }
+    // Per patched workspace, how often a PATCH retired its cached results:
+    // once per generation.
+    json::Object invalidations;
+    for (const auto& workspace : _workspaces.list())
+        if (workspace.generation > 0) invalidations.emplace(workspace.id, workspace.generation);
+    deltas.emplace("invalidations", json::Value(std::move(invalidations)));
 
     json::Object current;
     current.emplace("cacheEntries", _cache.size());

@@ -16,11 +16,11 @@
 //                                × link-failure-scenario axes) and return the
 //                                health matrix (see verify/sweep.hpp)
 //
-// A PATCH applies a NetworkDelta (docs/FORMATS.md) to a copy-on-write
-// snapshot and publishes it as the workspace's next delta generation; the
-// workspace's cached results are evicted and later queries run through a
-// delta::Reverifier, which reuses or rebases per-query translation caches
-// instead of recompiling from scratch.
+// A PATCH applies a NetworkDelta (docs/FORMATS.md) through the workspace's
+// delta::Reverifier, which publishes the copy-on-write result as the next
+// delta generation; the workspace's cached results are evicted and later
+// queries run through the Reverifier, which reuses or rebases per-query
+// translation caches instead of recompiling from scratch.
 //
 // See docs/SERVER.md for the request/response schemas.
 
@@ -29,15 +29,12 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 
-#include "delta/reverify.hpp"
 #include "json/json.hpp"
 #include "server/access_log.hpp"
 #include "server/cache.hpp"
 #include "server/http.hpp"
 #include "server/workspace.hpp"
-#include "util/mutex.hpp"
 
 namespace aalwines::server {
 
@@ -82,25 +79,11 @@ private:
                                               json::Object* log);
     [[nodiscard]] http::Response handle_metrics(const http::Request& request);
 
-    /// The workspace's incremental re-verifier.  Created on first demand
-    /// (`create` = true, the PATCH path); queries pass false and get null
-    /// for never-patched workspaces, keeping their fast verify_batch path.
-    [[nodiscard]] std::shared_ptr<delta::Reverifier> reverifier_for(const Workspace& workspace,
-                                                                    bool create);
-
     ServiceConfig _config;
     WorkspaceRegistry _workspaces;
     ResultCache _cache;
     std::function<json::Object()> _runtime_info;
     std::unique_ptr<AccessLog> _access_log;
-    mutable util::Mutex _mutex;
-    /// Keyed by workspace id; dropped with the workspace.  shared_ptr so a
-    /// handler can use one after the workspace was deleted concurrently.
-    std::unordered_map<std::string, std::shared_ptr<delta::Reverifier>> _reverifiers
-        GUARDED_BY(_mutex);
-    /// Per-workspace cache-invalidation totals (PATCHes that evicted), for
-    /// /metrics.
-    std::unordered_map<std::string, std::uint64_t> _invalidations GUARDED_BY(_mutex);
 };
 
 /// JSON error body + status, shared with the socket layer's early replies.

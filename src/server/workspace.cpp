@@ -4,57 +4,59 @@
 
 namespace aalwines::server {
 
+Workspace WorkspaceRegistry::lookup(const Entry& entry) {
+    auto snapshot = entry.reverifier->snapshot();
+    return {entry.id, entry.sequence, entry.reverifier, snapshot.generation,
+            std::move(snapshot.network)};
+}
+
 Workspace WorkspaceRegistry::add(Network&& network) {
-    const util::MutexLock lock(_mutex);
-    Workspace workspace;
-    workspace.sequence = _next_sequence++;
-    workspace.id = "n" + std::to_string(workspace.sequence);
-    workspace.network = std::make_shared<const Network>(std::move(network));
-    _workspaces.push_back(workspace);
-    return workspace;
+    Entry entry;
+    entry.reverifier = std::make_shared<delta::Reverifier>(
+        std::make_shared<const Network>(std::move(network)));
+    {
+        const util::MutexLock lock(_mutex);
+        entry.sequence = _next_sequence++;
+        entry.id = "n" + std::to_string(entry.sequence);
+        _entries.push_back(entry);
+    }
+    return lookup(entry);
 }
 
 std::optional<Workspace> WorkspaceRegistry::find(const std::string& id) const {
-    const util::MutexLock lock(_mutex);
-    for (const auto& workspace : _workspaces)
-        if (workspace.id == id) return workspace;
-    return std::nullopt;
-}
-
-bool WorkspaceRegistry::update_network(const std::string& id,
-                                       std::shared_ptr<const Network> network,
-                                       std::uint64_t generation) {
-    const util::MutexLock lock(_mutex);
-    for (auto& workspace : _workspaces) {
-        if (workspace.id != id) continue;
-        // PATCHes publish after their apply returns, so they can arrive out
-        // of order; an older generation must not replace a newer one.
-        if (generation > workspace.generation) {
-            workspace.network = std::move(network);
-            workspace.generation = generation;
-        }
-        return true;
+    std::optional<Entry> found;
+    {
+        const util::MutexLock lock(_mutex);
+        for (const auto& entry : _entries)
+            if (entry.id == id) found = entry;
     }
-    return false;
+    if (!found) return std::nullopt;
+    return lookup(*found);
 }
 
 bool WorkspaceRegistry::erase(const std::string& id) {
     const util::MutexLock lock(_mutex);
-    const auto it = std::find_if(_workspaces.begin(), _workspaces.end(),
-                                 [&](const Workspace& w) { return w.id == id; });
-    if (it == _workspaces.end()) return false;
-    _workspaces.erase(it);
+    const auto it = std::find_if(_entries.begin(), _entries.end(),
+                                 [&](const Entry& entry) { return entry.id == id; });
+    if (it == _entries.end()) return false;
+    _entries.erase(it);
     return true;
 }
 
 std::vector<Workspace> WorkspaceRegistry::list() const {
-    const util::MutexLock lock(_mutex);
-    return _workspaces;
+    std::vector<Entry> entries;
+    {
+        const util::MutexLock lock(_mutex);
+        entries = _entries;
+    }
+    std::vector<Workspace> workspaces;
+    for (const auto& entry : entries) workspaces.push_back(lookup(entry));
+    return workspaces;
 }
 
 std::size_t WorkspaceRegistry::size() const {
     const util::MutexLock lock(_mutex);
-    return _workspaces.size();
+    return _entries.size();
 }
 
 } // namespace aalwines::server

@@ -6,6 +6,7 @@
 // contract violations through `logic_error`-derived types.  Verification
 // itself never throws for "query not satisfied" -- that is a regular result.
 
+#include <cstddef>
 #include <stdexcept>
 #include <string>
 
@@ -55,6 +56,12 @@ namespace detail {
 /// single deep document exhausts the stack; real documents nest about a
 /// dozen levels deep.
 inline constexpr unsigned k_max_nesting = 256;
+
+/// The most atoms a query's bounded repetitions r{n,m} may expand to, all
+/// together: each adds its copies of r times the atoms of r.  Expansions are
+/// built eagerly, so without a bound `.{0,100000}`, `.` with a few dozen
+/// stacked `{2}`, or a few thousand `.{1000}` exhaust time or memory.
+inline constexpr std::size_t k_max_repeat_atoms = 1024;
 
 /// Scope guard for one nesting level of a recursive-descent parser: counts
 /// the level in `depth` while it lives.  Past k_max_nesting levels it calls

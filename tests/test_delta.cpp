@@ -305,7 +305,7 @@ TEST(Reverifier, RepeatQueryIsReusedAndDeltasRebase) {
     EXPECT_EQ(applied.generation, 1u);
     const auto warm = reverifier.verify(k_fig1_yes, spec);
     EXPECT_EQ(warm.path, VerifyPath::Warm);
-    EXPECT_EQ(warm.generation, 1u);
+    EXPECT_EQ(warm.snapshot.generation, 1u);
 
     // A delta on rules the query never demands (v4's s43 entry lies beyond
     // the 0-failure trace region) is invisible: Tier-1 reuse.
@@ -319,10 +319,6 @@ TEST(Reverifier, RepeatQueryIsReusedAndDeltasRebase) {
 TEST(Reverifier, ColdFallbacks) {
     const auto network = std::make_shared<const Network>(synthesis::make_figure1_network());
     const cli::VerifySpec spec;
-
-    Reverifier sessionless(network, /*max_sessions=*/0);
-    EXPECT_EQ(sessionless.verify(k_fig1_yes, spec).path, VerifyPath::Cold);
-    EXPECT_EQ(sessionless.verify(k_fig1_yes, spec).path, VerifyPath::Cold);
 
     // Minting a label widens the PDA alphabet: the cached translation is
     // stale and the session rebuilds cold.
@@ -338,6 +334,26 @@ TEST(Reverifier, ColdFallbacks) {
     cli::VerifySpec moped_spec;
     moped_spec.engine = "moped";
     EXPECT_EQ(moped.verify(k_fig1_yes, moped_spec).path, VerifyPath::Cold);
+}
+
+/// An outcome names the snapshot that answered it, which the daemon keys
+/// and renders the result with: after a delta that mints a label, that
+/// snapshot's label table holds the label.
+TEST(Reverifier, OutcomeNamesTheAnsweringSnapshot) {
+    Reverifier reverifier(std::make_shared<const Network>(synthesis::make_figure1_network()));
+    const cli::VerifySpec spec;
+    const auto before = reverifier.verify(k_fig1_yes, spec);
+    EXPECT_EQ(before.snapshot.generation, 0u);
+    EXPECT_FALSE(before.snapshot.network->labels.find(LabelType::MplsBos, "fresh").has_value());
+
+    reverifier.apply(parse_delta(R"({"operations": [
+        {"op": "add-rule", "router": "v2", "from": "in1", "label": "fresh", "type": "smpls",
+         "to": "e5", "ops": [{"op": "pop"}]}]})"));
+    const auto after = reverifier.verify(k_fig1_yes, spec);
+    EXPECT_EQ(after.snapshot.generation, 1u);
+    EXPECT_EQ(after.snapshot.network, reverifier.network());
+    EXPECT_TRUE(after.snapshot.network->labels.find(LabelType::MplsBos, "fresh").has_value());
+    EXPECT_EQ(reverifier.snapshot().generation, 1u);
 }
 
 TEST(Reverifier, EffectsWindowOverflowForcesRebuild) {

@@ -62,6 +62,51 @@ TEST(Nfa, OptAcceptsZeroOrOne) {
     EXPECT_FALSE(nfa.accepts(word({5, 5})));
 }
 
+/// `regex` is `kind` applied directly to the atom sym(5): a fold left one
+/// unary node over the original child.
+::testing::AssertionResult is_unary_of_atom(const Regex& regex, Regex::Kind kind) {
+    if (regex.kind() != kind) return ::testing::AssertionFailure() << "wrong outer kind";
+    if (regex.children().size() != 1 || regex.children()[0].kind() != Regex::Kind::Atom)
+        return ::testing::AssertionFailure() << "child is not the atom";
+    return ::testing::AssertionSuccess();
+}
+
+TEST(Regex, StarFoldsPlus) { // (r+)* = r*
+    EXPECT_TRUE(is_unary_of_atom(Regex::star(Regex::plus(sym(5))), Regex::Kind::Star));
+}
+
+TEST(Regex, StarFoldsOpt) { // (r?)* = r*
+    EXPECT_TRUE(is_unary_of_atom(Regex::star(Regex::opt(sym(5))), Regex::Kind::Star));
+}
+
+TEST(Regex, StarFoldsStar) { // (r*)* = r*
+    EXPECT_TRUE(is_unary_of_atom(Regex::star(Regex::star(sym(5))), Regex::Kind::Star));
+}
+
+TEST(Regex, OptFoldsPlus) { // (r+)? = r*
+    EXPECT_TRUE(is_unary_of_atom(Regex::opt(Regex::plus(sym(5))), Regex::Kind::Star));
+}
+
+TEST(Regex, PlusFoldsOpt) { // (r?)+ = r*
+    EXPECT_TRUE(is_unary_of_atom(Regex::plus(Regex::opt(sym(5))), Regex::Kind::Star));
+}
+
+TEST(Regex, PlusFoldsPlus) { // (r+)+ = r+
+    EXPECT_TRUE(is_unary_of_atom(Regex::plus(Regex::plus(sym(5))), Regex::Kind::Plus));
+}
+
+TEST(Regex, OptFoldsOpt) { // (r?)? = r?
+    EXPECT_TRUE(is_unary_of_atom(Regex::opt(Regex::opt(sym(5))), Regex::Kind::Opt));
+}
+
+TEST(Regex, PlusFoldsStar) { // (r*)+ = r*
+    EXPECT_TRUE(is_unary_of_atom(Regex::plus(Regex::star(sym(5))), Regex::Kind::Star));
+}
+
+TEST(Regex, OptFoldsStar) { // (r*)? = r*
+    EXPECT_TRUE(is_unary_of_atom(Regex::opt(Regex::star(sym(5))), Regex::Kind::Star));
+}
+
 TEST(Nfa, EmptyLanguageAcceptsNothing) {
     const auto nfa = Nfa::compile(Regex::empty());
     EXPECT_FALSE(nfa.accepts(word({})));
@@ -82,7 +127,9 @@ TEST(Nfa, SetAtomsAndExclusion) {
 }
 
 TEST(Nfa, RepeatExpandsToExactCount) {
-    const auto nfa = Nfa::compile(Regex::repeat(sym(1), 3));
+    std::vector<Regex> copies;
+    for (int i = 0; i < 3; ++i) copies.push_back(sym(1));
+    const auto nfa = Nfa::compile(Regex::concat(std::move(copies)));
     EXPECT_TRUE(nfa.accepts(word({1, 1, 1})));
     EXPECT_FALSE(nfa.accepts(word({1, 1})));
     EXPECT_FALSE(nfa.accepts(word({1, 1, 1, 1})));

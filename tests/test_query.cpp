@@ -3,6 +3,7 @@
 #include "nfa/nfa.hpp"
 #include "query/query.hpp"
 #include "synthesis/dataplane.hpp"
+#include "verify/translation.hpp"
 
 namespace aalwines {
 namespace {
@@ -166,6 +167,47 @@ TEST_F(QueryParser, RepetitionBoundErrors) {
     EXPECT_THROW(query::parse_query("<ip> .{3,2} <ip> 0", net), parse_error);
     EXPECT_THROW(query::parse_query("<ip> .{a} <ip> 0", net), parse_error);
     EXPECT_THROW(query::parse_query("<ip> .{2 <ip> 0", net), parse_error);
+}
+
+TEST_F(QueryParser, RepetitionExpansionIsBounded) {
+    const auto path = [&](const std::string& regex) {
+        return query::parse_query("<ip> " + regex + " <ip> 0", net).path;
+    };
+    const auto n = std::to_string(k_max_repeat_atoms);
+    const auto past = std::to_string(k_max_repeat_atoms + 1);
+    EXPECT_NO_THROW((void)path(".{0," + n + "}"));
+    EXPECT_THROW((void)path(".{0," + past + "}"), parse_error);
+    EXPECT_NO_THROW((void)path(".{" + n + "}"));
+    EXPECT_THROW((void)path(".{" + past + "}"), parse_error);
+    // r{n,} is n copies and r*: n + 1 copies.
+    EXPECT_NO_THROW((void)path(".{" + std::to_string(k_max_repeat_atoms - 1) + ",}"));
+    EXPECT_THROW((void)path(".{" + n + ",}"), parse_error);
+    EXPECT_THROW((void)path(".{0,100000}"), parse_error);
+    // The atoms of the repeated expression count, so stacked repetitions
+    // multiply: nine {2} expand to 2 + 4 + ... + 512 = 1,022 atoms, a tenth
+    // passes the bound.
+    std::string stacked = ".";
+    for (int i = 0; i < 9; ++i) stacked += "{2}";
+    EXPECT_NO_THROW((void)path(stacked));
+    EXPECT_THROW((void)path(stacked + "{2}"), parse_error);
+    for (int i = 9; i < 30; ++i) stacked += "{2}";
+    EXPECT_THROW((void)path(stacked), parse_error);
+    // The bound covers the whole query, not each repetition.
+    EXPECT_NO_THROW((void)path(".{512} .{512}"));
+    EXPECT_THROW((void)path(".{512} .{513}"), parse_error);
+    EXPECT_THROW(query::parse_query("<ip{512}> .{513} <ip> 0", net), parse_error);
+}
+
+TEST_F(QueryParser, StackedPostfixOperatorsCompile) {
+    // Each operator folds into the unary node below it, so both queries nest
+    // one level deep and compile: `.+` and `.*`.
+    std::string alternating;
+    for (int i = 0; i < 33'000; ++i) alternating += "*+?";
+    for (const auto& operators : {std::string(100'000, '+'), alternating}) {
+        const auto query = query::parse_query("<ip> ." + operators + " <ip> 0", net);
+        const auto nfas = verify::compile_query_nfas(net, query);
+        EXPECT_TRUE(nfas.path.accepts(std::vector<nfa::Symbol>{0, 1}));
+    }
 }
 
 TEST_F(QueryParser, ModeSuffix) {
