@@ -88,7 +88,6 @@ void usage(std::ostream& out) {
         "  --workers N          worker threads (default: hardware concurrency)\n"
         "  --queue N            pending-request bound; overflow answers 503\n"
         "                       with Retry-After (default 64)\n"
-        "  --cache N            compiled-query LRU capacity, 0 = off (default 256)\n"
         "  --deadline-ms N      expire requests that waited longer (504; 0 = off)\n"
         "  --max-body-mb N      request body limit (default 64)\n"
         "  --access-log FILE    append one JSON line per request ('-' = stdout;\n"
@@ -265,7 +264,6 @@ extern "C" void handle_stop_signal(int) {
 
 int serve_main(const cli::ServeCli& serve) {
     server::ServiceConfig service_config;
-    service_config.cache_capacity = serve.cache_capacity;
     service_config.access_log_path = serve.access_log;
     service_config.slow_query_ms = static_cast<std::uint32_t>(serve.slow_query_ms);
     server::Service service(service_config);
@@ -296,8 +294,7 @@ int serve_main(const cli::ServeCli& serve) {
                              ? serve.workers
                              : std::max(1u, std::thread::hardware_concurrency());
     std::cerr << "aalwines: serving on " << serve.bind_address << ":" << daemon.port()
-              << " (workers=" << workers << ", queue=" << serve.queue_capacity
-              << ", cache=" << serve.cache_capacity << ")\n";
+              << " (workers=" << workers << ", queue=" << serve.queue_capacity << ")\n";
     daemon.wait();
     g_server = nullptr;
     std::cerr << "aalwines: drained, shutting down\n";

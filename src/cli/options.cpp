@@ -360,7 +360,6 @@ ServeCli parse_serve_cli(int argc, char** argv, int first) {
         else if (arg == "--bind") serve.bind_address = args.value();
         else if (arg == "--workers") serve.workers = parse_size(arg, args.value());
         else if (arg == "--queue") serve.queue_capacity = parse_size(arg, args.value());
-        else if (arg == "--cache") serve.cache_capacity = parse_size(arg, args.value());
         else if (arg == "--deadline-ms") serve.deadline_ms = parse_int(arg, args.value());
         else if (arg == "--max-body-mb")
             serve.max_body_bytes = parse_size(arg, args.value()) << 20;

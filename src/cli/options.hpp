@@ -77,9 +77,9 @@ struct VerifySpec {
     std::size_t max_iterations = 0; ///< saturation cap, 0 = unlimited
 
     /// Append every field to `key`, '\x1f'-separated (the unit separator
-    /// cannot appear in query or weight text).  The one spelling the server's
-    /// result cache and the Reverifier's session pool key on, so two specs
-    /// share a key only when every field agrees.
+    /// cannot appear in query or weight text).  The one spelling the
+    /// Reverifier's answer store keys on, so two specs share a key only when
+    /// every field agrees.
     void append_key(std::string& key) const;
 };
 
@@ -134,7 +134,6 @@ struct ServeCli {
     int port = 0;                  ///< 0 = ephemeral (printed on startup)
     std::size_t workers = 0;       ///< 0 = hardware concurrency
     std::size_t queue_capacity = 64;
-    std::size_t cache_capacity = 256;
     long deadline_ms = 0;          ///< per-request wall budget, 0 = none
     std::size_t max_body_bytes = 64ull << 20;
     NetworkSource preload;         ///< optional network loaded at startup

@@ -1,27 +1,39 @@
 #include "delta/reverify.hpp"
 
+#include <algorithm>
+#include <chrono>
+#include <iterator>
 #include <optional>
 
+#include "telemetry/telemetry.hpp"
 #include "util/check.hpp"
 
 namespace aalwines::delta {
 
-/// One pooled session per (query text, spec) pair.  Lifecycle: created
-/// busy, published in the pool, then used only by the thread that claimed
-/// `busy` under the Reverifier mutex — the claim/release pairs give the
-/// necessary happens-before edges, so the other fields need no lock of
-/// their own.  Heap-allocated and address-stable: `options` points into
-/// `weights`, and the session copies it.
-struct Reverifier::Slot {
-    Slot(const std::string& query_text, const cli::VerifySpec& spec)
-        : options(cli::make_verify_options(spec, weights)), session(query_text, options) {}
+using Clock = std::chrono::steady_clock;
 
+/// One store entry per (query text, spec) pair.  Lifecycle: created busy,
+/// published in the store, then answered only by the thread that claimed
+/// `busy` under the Reverifier mutex — the claim/release pairs give the
+/// necessary happens-before edges for `session`, which is touched outside
+/// the lock only by the claimer.  The other fields are read and written
+/// under the mutex.  Address-stable (a list node): `options` points into
+/// `weights`, and the session copies it.
+struct Reverifier::Entry {
+    Entry(std::string store_key, const cli::VerifySpec& spec)
+        : key(std::move(store_key)), options(cli::make_verify_options(spec, weights)) {}
+
+    std::string key; ///< query text, '\x1f', VerifySpec::append_key
     WeightExpr weights;
     verify::VerifyOptions options;
-    Session session;
-    std::uint64_t generation = 0; ///< generation of the session's anchor
+    std::shared_ptr<const Anchor> answer; ///< the last computed answer
+    std::uint64_t generation = 0;         ///< of `answer`, and of the live translation
+    /// The newest generation `answer` was found to hold at: every delta
+    /// since `generation` up to it misses the footprint.
+    std::uint64_t valid_at = 0;
+    std::unique_ptr<Session> session;     ///< null: no live translation
+    std::list<Entries::iterator>::iterator live; ///< in _live while `session` is set
     bool busy = true;
-    std::uint64_t last_used = 0; ///< LRU tick
 };
 
 Reverifier::Reverifier(std::shared_ptr<const Network> network)
@@ -41,6 +53,11 @@ std::shared_ptr<const Network> Reverifier::network() const {
     return _current.network;
 }
 
+std::size_t Reverifier::entries() const {
+    const util::MutexLock lock(_mutex);
+    return _entries.size();
+}
+
 Reverifier::Applied Reverifier::apply(const NetworkDelta& delta) {
     // Resolve-and-publish is one exclusive section so concurrent apply()
     // calls serialise (no lost snapshot); deltas are small, the copy is the
@@ -57,12 +74,55 @@ Reverifier::Applied Reverifier::apply(const NetworkDelta& delta) {
     return {_current.generation, _current.network, std::move(applied.effects)};
 }
 
-std::optional<DeltaEffects> Reverifier::effects_since(std::uint64_t base) const {
+std::optional<DeltaEffects> Reverifier::effects_since(std::uint64_t base,
+                                                      std::uint64_t upto) const {
     if (base < _effects_base) return std::nullopt; // window trimmed past it
     DeltaEffects out;
-    for (std::uint64_t g = base; g < _current.generation; ++g)
-        out.merge(_effects[g - _effects_base]);
+    for (std::uint64_t g = base; g < upto; ++g) out.merge(_effects[g - _effects_base]);
     return out;
+}
+
+bool Reverifier::try_claim(Entries::iterator entry, std::uint64_t generation,
+                           std::optional<DeltaEffects>& since) {
+    // An entry re-anchored past `generation` meanwhile cannot rebase back.
+    if (entry->busy || entry->generation > generation) return false;
+    entry->busy = true;
+    since = effects_since(entry->generation, generation);
+    return true;
+}
+
+void Reverifier::erase(Entries::iterator entry) {
+    if (entry->live != _live.end()) _live.erase(entry->live);
+    _index.erase(entry->key);
+    _entries.erase(entry);
+}
+
+void Reverifier::evict() {
+    // From the least recently used end; busy entries are being answered and
+    // stay (the next eviction retries).
+    std::size_t evicted = 0;
+    for (auto next = _entries.end();
+         _entries.size() > k_max_entries && next != _entries.begin();) {
+        const auto victim = std::prev(next);
+        if (victim->busy) {
+            next = victim;
+            continue;
+        }
+        erase(victim);
+        ++evicted;
+    }
+    if (evicted > 0) telemetry::count(telemetry::Counter::server_cache_evictions, evicted);
+    for (auto next = _live.end(); _live.size() > k_max_sessions && next != _live.begin();) {
+        const auto victim = std::prev(next);
+        const auto entry = *victim;
+        if (entry->busy) {
+            next = victim;
+            continue;
+        }
+        entry->session.reset();
+        entry->live = _live.end();
+        _live.erase(victim);
+    }
 }
 
 Reverifier::Outcome Reverifier::verify(const std::string& query_text,
@@ -70,74 +130,116 @@ Reverifier::Outcome Reverifier::verify(const std::string& query_text,
     std::string key = query_text;
     key += '\x1f';
     spec.append_key(key);
+    const auto lookup_start = Clock::now();
     Snapshot current;
-    Slot* slot = nullptr; ///< the claimed pooled session, if any
-    bool busy = false;    ///< another thread is answering through this key's session
-    std::optional<DeltaEffects> pending; ///< deltas in (slot generation, current]
+    std::shared_ptr<const Anchor> served;
+    bool across = false; ///< served across at least one delta
+    std::shared_ptr<const Anchor> candidate; ///< to check against `since`
+    bool weighted = false;
+    bool known = false; ///< the store has an entry for the key
+    Entries::iterator claimed;
+    bool claim = false;
+    std::optional<DeltaEffects> since; ///< the deltas to check or rebase over
     {
         const util::MutexLock lock(_mutex);
         current = _current;
-        if (auto it = _sessions.find(key); it != _sessions.end()) {
-            busy = it->second->busy;
-            if (!busy) {
-                slot = it->second.get();
-                slot->busy = true;
-                slot->last_used = ++_session_clock;
-                pending = effects_since(slot->generation);
+        if (const auto it = _index.find(key); it != _index.end()) {
+            known = true;
+            const auto entry = it->second;
+            _entries.splice(_entries.begin(), _entries, entry);
+            const auto& answer = entry->answer;
+            if (answer != nullptr && entry->valid_at == current.generation) {
+                served = answer;
+                across = entry->generation != current.generation;
+            } else if (answer != nullptr && answer->footprint &&
+                       (since = effects_since(entry->valid_at, current.generation))) {
+                candidate = answer;
+                weighted = verify::translation_weights(entry->options) != nullptr;
+            } else if (try_claim(entry, current.generation, since)) {
+                claimed = entry;
+                claim = true;
             }
         }
     }
+    if (candidate != nullptr) {
+        // Off the lock; a pass is recorded so repeats skip the check.
+        const bool holds =
+            candidate->carries_over(*since, current.network->topology.link_count(), weighted);
+        const util::MutexLock lock(_mutex);
+        const auto it = _index.find(key);
+        if (holds) {
+            served = std::move(candidate);
+            across = true;
+            if (it != _index.end() && it->second->answer == served)
+                it->second->valid_at = std::max(it->second->valid_at, current.generation);
+        } else if (it != _index.end() && try_claim(it->second, current.generation, since)) {
+            claimed = it->second;
+            claim = true;
+        }
+    }
+    const std::chrono::duration<double> lookup = Clock::now() - lookup_start;
+    telemetry::observe_duration(telemetry::Histogram::cache_lookup, lookup.count());
+    if (served != nullptr) {
+        telemetry::count(telemetry::Counter::server_cache_hits);
+        if (across) telemetry::count(telemetry::Counter::delta_tier1_reused);
+        return {served->result, Tier::Reused, std::move(current)};
+    }
+    telemetry::count(telemetry::Counter::server_cache_misses);
 
-    // No claimable session: a fresh one, pooled when it can ever go warm.  A
-    // busy session (rather than wait) or an engine that cannot rebase answer
-    // cold through one that is dropped afterwards.
-    std::unique_ptr<Slot> fresh;
-    if (slot == nullptr) {
-        fresh = std::make_unique<Slot>(query_text, spec);
-        if (!busy && warm_capable(fresh->options)) {
+    // Nothing claimable: first sight makes a new entry, published busy and
+    // evicting nothing until its answer is stored; a busy one (rather than
+    // wait), or a lost creation race, answers cold through an unpooled
+    // session.
+    Entries fresh;
+    if (!claim) {
+        fresh.emplace_back(key, spec); // validates the spec
+        if (!known) {
             const util::MutexLock lock(_mutex);
-            if (_sessions.find(key) == _sessions.end()) { // else lost the creation race
-                fresh->last_used = ++_session_clock;
-                slot = fresh.get();
-                _sessions.emplace(key, std::move(fresh));
-                // LRU-evict idle sessions beyond the cap (busy ones are
-                // skipped; transiently exceeding the cap while every session
-                // is busy is fine — the next insertion retries).
-                while (_sessions.size() > k_max_sessions) {
-                    auto victim = _sessions.end();
-                    for (auto it = _sessions.begin(); it != _sessions.end(); ++it) {
-                        if (it->second->busy) continue;
-                        if (victim == _sessions.end() ||
-                            it->second->last_used < victim->second->last_used)
-                            victim = it;
-                    }
-                    if (victim == _sessions.end()) break;
-                    _sessions.erase(victim);
-                }
+            if (_index.find(key) == _index.end()) {
+                fresh.front().live = _live.end();
+                _entries.splice(_entries.begin(), fresh);
+                claimed = _entries.begin();
+                claim = true;
+                _index.emplace(std::move(key), claimed);
             }
         }
+        since.reset();
     }
 
-    Slot& used = slot != nullptr ? *slot : *fresh;
-    const DeltaEffects* since = pending ? &*pending : nullptr;
+    Entry& used = claim ? *claimed : fresh.front();
     Session::Answer answer;
     try {
-        answer = used.session.answer(current.network, since, since,
-                                     /*anchor=*/slot != nullptr);
+        if (used.session == nullptr)
+            used.session = std::make_unique<Session>(query_text, used.options);
+        answer = used.session->answer(current.network, nullptr, since ? &*since : nullptr,
+                                      /*anchor=*/claim);
     } catch (...) {
-        if (slot != nullptr) { // no half-rebased session survives
+        if (claim) { // no half-rebased session survives
             const util::MutexLock lock(_mutex);
-            _sessions.erase(key);
+            erase(claimed);
         }
         throw;
     }
-    if (answer.tier != Tier::Reused) used.generation = current.generation;
-    Outcome out{std::move(answer.result), answer.tier, std::move(current)};
-    if (slot != nullptr) {
+    if (claim) {
+        const bool keep = warm_capable(used.options) && current.generation > 0;
         const util::MutexLock lock(_mutex);
-        slot->busy = false;
+        used.busy = false;
+        used.answer = used.session->anchor();
+        used.generation = used.valid_at = current.generation;
+        if (!keep) {
+            used.session.reset();
+            if (used.live != _live.end()) _live.erase(used.live);
+            used.live = _live.end();
+        } else if (used.live == _live.end()) {
+            _live.push_front(claimed);
+            used.live = _live.begin();
+        } else {
+            _live.splice(_live.begin(), _live, used.live);
+        }
+        evict();
+        telemetry::gauge_max(telemetry::Gauge::cache_entries_high_water, _entries.size());
     }
-    return out;
+    return {std::move(answer.result), answer.tier, std::move(current)};
 }
 
 } // namespace aalwines::delta

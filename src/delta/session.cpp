@@ -45,6 +45,13 @@ std::string_view to_string(Tier tier) {
     return "?";
 }
 
+bool Anchor::carries_over(const DeltaEffects& changes, std::size_t n_links,
+                          bool weighted) const {
+    if (!footprint || changes.label_added) return false;
+    const auto changed = changed_links(changes, n_links, weighted);
+    return !footprint->touches(changed.dirty, changed.behavior);
+}
+
 bool warm_capable(const verify::VerifyOptions& options) {
     return options.engine == verify::EngineKind::Dual ||
            options.engine == verify::EngineKind::Weighted;
@@ -59,12 +66,10 @@ Session::Answer Session::answer(std::shared_ptr<const Network> target,
                                 const DeltaEffects* since_live, bool anchor) {
     const auto n_links = target->topology.link_count();
     const auto* weights = verify::translation_weights(_options);
-    if (_anchor && since_anchor != nullptr && !since_anchor->label_added) {
-        const auto changed = changed_links(*since_anchor, n_links, weights != nullptr);
-        if (!_anchor->footprint.touches(changed.dirty, changed.behavior)) {
-            telemetry::count(telemetry::Counter::delta_tier1_reused);
-            return {Tier::Reused, _anchor->result};
-        }
+    if (_anchor && since_anchor != nullptr &&
+        _anchor->carries_over(*since_anchor, n_links, weights != nullptr)) {
+        telemetry::count(telemetry::Counter::delta_tier1_reused);
+        return {Tier::Reused, _anchor->result};
     }
 
     const bool warm = warm_capable(_options);
@@ -92,13 +97,17 @@ Session::Answer Session::answer(std::shared_ptr<const Network> target,
         _cache.reset();
         throw;
     }
-    if (warm && anchor) {
+    if (anchor) {
         // Frozen now, while the translation holds exactly what this answer's
         // saturations materialized.
-        verify::LinkFootprint footprint;
-        if (const auto* over = _cache->over_or_null()) over->add_to_footprint(footprint);
-        if (const auto* under = _cache->under_or_null()) under->add_to_footprint(footprint);
-        _anchor = Anchor{out.result, std::move(footprint)};
+        std::optional<verify::LinkFootprint> footprint;
+        if (warm) {
+            footprint.emplace();
+            if (const auto* over = _cache->over_or_null()) over->add_to_footprint(*footprint);
+            if (const auto* under = _cache->under_or_null())
+                under->add_to_footprint(*footprint);
+        }
+        _anchor = std::make_shared<const Anchor>(Anchor{out.result, std::move(footprint)});
     }
     telemetry::count(out.tier == Tier::Warm ? telemetry::Counter::delta_tier2_resaturations
                                             : telemetry::Counter::delta_cold_rebuilds);

@@ -6,8 +6,10 @@
 // A Session holds the query text and its options, the live lazy translation
 // (a verify::TranslationCache plus the snapshot it is based on) and an
 // *anchor*: the last answer it may hand out unchanged, plus the
-// verify::LinkFootprint frozen right after that answer's saturation.
-// answer() reaches a target snapshot by the cheapest of three tiers:
+// verify::LinkFootprint frozen right after that answer's saturation.  The
+// anchor is immutable and shared, so the Reverifier's answer store serves it
+// without claiming the session.  answer() reaches a target snapshot by the
+// cheapest of three tiers:
 //
 //   Reused — the changes since the anchor miss its footprint, so a cold run
 //            would replay the anchor's saturation transcript: the anchor's
@@ -27,6 +29,8 @@
 // anchors only its first (its scenarios form a star around the base
 // network).  Every answer counts its tier in the delta_tier1_reused /
 // delta_tier2_resaturations / delta_cold_rebuilds telemetry counters.
+// Moped and Exact answers are anchored without a footprint: they are
+// valid on their own snapshot only.
 //
 // Not thread-safe: one answer() at a time per session.
 
@@ -53,6 +57,19 @@ enum class Tier : std::uint8_t { Reused, Warm, Cold };
 /// re-serialises and Exact re-enumerates from scratch every time.
 [[nodiscard]] bool warm_capable(const verify::VerifyOptions& options);
 
+/// An answer plus, for a warm-capable run, the footprint frozen right after
+/// its saturations.
+struct Anchor {
+    verify::VerifyResult result;
+    std::optional<verify::LinkFootprint> footprint; ///< none: Moped or Exact
+
+    /// Whether a cold run after `changes` (from the anchor's snapshot, on a
+    /// network of `n_links` links) would replay the anchor's saturations and
+    /// so give its answer.  Never for a minted label or without a footprint.
+    [[nodiscard]] bool carries_over(const DeltaEffects& changes, std::size_t n_links,
+                                    bool weighted) const;
+};
+
 class Session {
 public:
     /// `options.weights` must outlive the session.  `nfas`, when set, are the
@@ -73,29 +90,26 @@ public:
     /// Answer the query on `target`.  `since_anchor` and `since_live` are
     /// the changes from the anchor's and from the live translation's
     /// snapshot to `target`; nullptr means unknown and rules that tier out.
-    /// With `anchor`, a computed answer of a warm-capable run becomes the
-    /// new anchor.  Throws what parsing and verification throw; the live
-    /// translation is dropped then (it may be half-rebased), the anchor
-    /// stays.
+    /// With `anchor`, a computed answer becomes the new anchor.  Throws
+    /// what parsing and verification throw; the live translation is dropped
+    /// then (it may be half-rebased), the anchor stays.
     [[nodiscard]] Answer answer(std::shared_ptr<const Network> target,
                                 const DeltaEffects* since_anchor,
                                 const DeltaEffects* since_live, bool anchor);
 
-    [[nodiscard]] bool anchored() const noexcept { return _anchor.has_value(); }
+    /// The current anchor; null before the first anchored answer.
+    [[nodiscard]] const std::shared_ptr<const Anchor>& anchor() const noexcept {
+        return _anchor;
+    }
 
 private:
-    struct Anchor {
-        verify::VerifyResult result;
-        verify::LinkFootprint footprint;
-    };
-
     std::string _text;
     verify::VerifyOptions _options;
     std::shared_ptr<const verify::CompiledNfas> _nfas;
     std::shared_ptr<const Network> _network; ///< snapshot `_cache` is based on
     query::Query _query;                     ///< parsed against `_network`
     std::unique_ptr<verify::TranslationCache> _cache; ///< points into the two above
-    std::optional<Anchor> _anchor;
+    std::shared_ptr<const Anchor> _anchor;
 };
 
 } // namespace aalwines::delta

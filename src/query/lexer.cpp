@@ -1,6 +1,7 @@
 #include "query/lexer.hpp"
 
 #include <cctype>
+#include <limits>
 
 namespace aalwines::query {
 
@@ -81,9 +82,14 @@ std::uint64_t Cursor::number() {
     skip_ws();
     if (at_end() || !std::isdigit(static_cast<unsigned char>(peek())))
         fail("expected a number");
+    constexpr auto max = std::numeric_limits<std::uint64_t>::max();
     std::uint64_t value = 0;
-    while (!at_end() && std::isdigit(static_cast<unsigned char>(peek())))
-        value = value * 10 + static_cast<std::uint64_t>(advance() - '0');
+    while (!at_end() && std::isdigit(static_cast<unsigned char>(peek()))) {
+        const auto digit = static_cast<std::uint64_t>(peek() - '0');
+        if (value > (max - digit) / 10) fail("number out of range");
+        advance();
+        value = value * 10 + digit;
+    }
     return value;
 }
 

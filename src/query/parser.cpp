@@ -90,7 +90,8 @@ private:
     const Network& _network;
     std::string_view _cur_text_backup;
     unsigned _depth = 0; ///< groups open around the current position
-    std::size_t _repeat_atoms = 0; ///< atoms the repetitions so far expanded to
+    std::size_t _written_atoms = 0; ///< atoms the text so far wrote
+    std::size_t _repeat_atoms = 0;  ///< atoms the repetitions so far expanded to
 
     Regex parse_alt(Context context) {
         std::vector<Regex> branches;
@@ -125,7 +126,7 @@ private:
     /// Bounded repetition r{n}, r{n,} and r{n,m} (language extension), as
     /// one concatenation: n copies of r, then r* or m - n copies of r?.  All
     /// of a query's repetitions together expand to at most
-    /// k_max_repeat_atoms atoms; every copy counts at least one, so
+    /// k_max_query_atoms atoms; every copy counts at least one, so
     /// repeating ε or ∅ is bounded too.
     Regex parse_bounds(Regex atom) {
         const auto low = _cur.number();
@@ -141,8 +142,8 @@ private:
         std::vector<Regex> parts;
         const auto append = [&](Regex part) {
             _repeat_atoms += width;
-            if (_repeat_atoms > k_max_repeat_atoms)
-                _cur.fail("repetitions expand past " + std::to_string(k_max_repeat_atoms) +
+            if (_repeat_atoms > k_max_query_atoms)
+                _cur.fail("repetitions expand past " + std::to_string(k_max_query_atoms) +
                           " atoms");
             parts.push_back(std::move(part));
         };
@@ -152,8 +153,16 @@ private:
         return Regex::concat(std::move(parts));
     }
 
+    /// One written atom, counted against k_max_query_atoms.
+    Regex written(SymbolSet set) {
+        if (++_written_atoms > k_max_query_atoms)
+            _cur.fail("query writes more than " + std::to_string(k_max_query_atoms) +
+                      " atoms");
+        return Regex::atom(std::move(set));
+    }
+
     Regex parse_atom(Context context) {
-        if (_cur.try_consume('.')) return Regex::atom(SymbolSet::any());
+        if (_cur.try_consume('.')) return written(SymbolSet::any());
         if (_cur.try_consume('(')) {
             const NestingLevel level(_depth,
                                      [this](const auto& message) { _cur.fail(message); });
@@ -168,13 +177,13 @@ private:
             if (complement) {
                 // Atom-set complement (the paper's `^`): everything except
                 // the listed symbols.
-                return Regex::atom(SymbolSet::excluding(
+                return written(SymbolSet::excluding(
                     set.materialize(static_cast<nfa::Symbol>(domain(context)))));
             }
-            return Regex::atom(std::move(set));
+            return written(std::move(set));
         }
         if (context == Context::Label && _cur.at_name())
-            return Regex::atom(resolve_label_name(_network, _cur.name()));
+            return written(resolve_label_name(_network, _cur.name()));
         _cur.fail("expected an atom");
     }
 

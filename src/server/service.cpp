@@ -10,7 +10,7 @@
 #include "telemetry/exposition.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/errors.hpp"
-#include "verify/batch.hpp"
+#include "util/parallel.hpp"
 
 namespace aalwines::server {
 
@@ -116,8 +116,7 @@ http::Response error_response(int status, const std::string& message) {
     return json_response(status, json::Value(std::move(body)));
 }
 
-Service::Service(ServiceConfig config)
-    : _config(config), _cache(config.cache_capacity) {
+Service::Service(ServiceConfig config) : _config(std::move(config)) {
     if (!_config.access_log_path.empty() || _config.slow_query_ms > 0)
         _access_log =
             std::make_unique<AccessLog>(_config.access_log_path, _config.slow_query_ms);
@@ -266,11 +265,9 @@ http::Response Service::handle_patch(const http::Request& request,
     const auto delta = delta::NetworkDelta::from_json(parsed);
 
     // apply() publishes the next generation (model_error -> 422 via
-    // handle()).  Then retire every cached result of this workspace (and
-    // only this workspace) — the key's generation field already guarantees
-    // staleness can't be served, eviction frees memory.
+    // handle()); the workspace's stored answers stay, and each is served
+    // again while the deltas since it miss its footprint.
     const auto applied = workspace.reverifier->apply(delta);
-    const auto evicted = _cache.invalidate(cache_scope(workspace.sequence));
 
     telemetry::count(telemetry::Counter::server_patches);
     telemetry::observe_duration(
@@ -281,7 +278,6 @@ http::Response Service::handle_patch(const http::Request& request,
         log->emplace("network", workspace.id);
         log->emplace("generation", applied.generation);
         log->emplace("operations", delta.ops.size());
-        log->emplace("cacheEvictions", evicted);
     }
 
     const auto& topology = applied.network->topology;
@@ -297,8 +293,6 @@ http::Response Service::handle_patch(const http::Request& request,
     body.emplace("generation", applied.generation);
     body.emplace("operations", delta.ops.size());
     body.emplace("effects", json::Value(std::move(effects)));
-    body.emplace("cacheEvictions", evicted);
-    body.emplace("invalidations", applied.generation);
     return json_response(200, json::Value(std::move(body)));
 }
 
@@ -331,68 +325,26 @@ http::Response Service::handle_query(const http::Request& request,
     const auto jobs = std::clamp<std::size_t>(size_field(object, "jobs", 1), 1, job_cap());
 
     WeightExpr weights;
-    const auto options = cli::make_verify_options(spec, weights); // validates
+    (void)cli::make_verify_options(spec, weights); // validates before any text runs
 
-    // Serve what the cache already has; verify only the misses, as a batch.
-    // A slot's key and network name the snapshot its result answers for:
-    // the looked-up one, unless the Reverifier answered on a newer one.
+    // Every text is answered by the workspace's answer store, across `jobs`
+    // workers; an outcome names the snapshot it answers for, which a PATCH
+    // racing this request may already have superseded.
     struct Slot {
-        std::string key;
-        std::shared_ptr<const verify::VerifyResult> result;
-        std::shared_ptr<const Network> network;
+        std::optional<delta::Reverifier::Outcome> outcome;
         std::string error;
-        std::optional<delta::Tier> tier; ///< set when the Reverifier answered
-        bool cached = false;
     };
     std::vector<Slot> slots(texts.size());
-    std::vector<std::string> missing;
-    std::vector<std::size_t> missing_index;
-    for (std::size_t i = 0; i < texts.size(); ++i) {
-        slots[i].key = cache_key(workspace.sequence, workspace.generation, texts[i], spec);
-        slots[i].result = _cache.find(slots[i].key);
-        slots[i].network = workspace.network;
-        slots[i].cached = slots[i].result != nullptr;
-        if (!slots[i].cached) {
-            missing.push_back(texts[i]);
-            missing_index.push_back(i);
+    util::parallel_for(texts.size(), jobs, [&](std::size_t, std::size_t i) {
+        try {
+            slots[i].outcome = workspace.reverifier->verify(texts[i], spec);
+        } catch (const std::exception& error) {
+            slots[i].error = error.what();
         }
-    }
-    if (!missing.empty()) {
-        // A patched workspace answers through its Reverifier: per-query
-        // translation caches survive across generations, so a repeat query
-        // after a small delta reuses or rebases instead of recompiling.
-        // Never-patched workspaces keep the plain batch path (parallel
-        // across `jobs` workers, zero session overhead).
-        if (workspace.generation > 0) {
-            for (std::size_t m = 0; m < missing.size(); ++m) {
-                auto& slot = slots[missing_index[m]];
-                try {
-                    auto outcome = workspace.reverifier->verify(missing[m], spec);
-                    slot.tier = outcome.path;
-                    slot.result = std::make_shared<const verify::VerifyResult>(
-                        std::move(outcome.result));
-                    slot.key = cache_key(workspace.sequence, outcome.snapshot.generation,
-                                         missing[m], spec);
-                    slot.network = std::move(outcome.snapshot.network);
-                    _cache.insert(slot.key, slot.result);
-                } catch (const std::exception& error) {
-                    slot.error = error.what();
-                }
-            }
-        } else {
-            auto items = verify::verify_batch(*workspace.network, missing, options, jobs);
-            for (std::size_t m = 0; m < items.size(); ++m) {
-                auto& slot = slots[missing_index[m]];
-                if (!items[m].error.empty()) {
-                    slot.error = std::move(items[m].error);
-                    continue;
-                }
-                slot.result = std::make_shared<const verify::VerifyResult>(
-                    std::move(items[m].result));
-                _cache.insert(slot.key, slot.result);
-            }
-        }
-    }
+    });
+    const auto cached = [&](const Slot& slot) {
+        return slot.outcome && slot.outcome->path == delta::Tier::Reused;
+    };
 
     if (log != nullptr) {
         std::string combined;
@@ -404,24 +356,26 @@ http::Response Service::handle_query(const http::Request& request,
         log->emplace("queryHash", stable_hash_hex(combined));
         log->emplace("queries", texts.size());
         std::size_t hits = 0;
-        for (const auto& slot : slots) hits += slot.cached ? 1 : 0;
+        for (const auto& slot : slots) hits += cached(slot) ? 1 : 0;
         log->emplace("cacheHits", hits);
         log->emplace("cacheMisses", texts.size() - hits);
         std::size_t tiers[3] = {}; // indexed by delta::Tier
         for (const auto& slot : slots)
-            if (slot.tier) ++tiers[static_cast<std::size_t>(*slot.tier)];
+            if (slot.outcome && slot.outcome->snapshot.generation > 0)
+                ++tiers[static_cast<std::size_t>(slot.outcome->path)];
         if (tiers[0] + tiers[1] + tiers[2] > 0) log_tiers(*log, tiers[0], tiers[1], tiers[2]);
-        if (!batch)
-            log->emplace("answer", slots[0].error.empty()
-                                       ? std::string(verify::to_string(slots[0].result->answer))
-                                       : "error");
-        else
+        if (batch)
             log->emplace("answer", "batch");
+        else if (const auto& outcome = slots[0].outcome)
+            log->emplace("answer", std::string(verify::to_string(outcome->result.answer)));
+        else
+            log->emplace("answer", "error");
         // Pipeline time spent by *this* request: cached slots did no work.
         double compile = 0, solve = 0, witness = 0;
         for (const auto& slot : slots) {
-            if (slot.cached || slot.result == nullptr) continue;
-            for (const auto* phase : {&slot.result->stats.over, &slot.result->stats.under}) {
+            if (!slot.outcome || cached(slot)) continue;
+            const auto& result = slot.outcome->result;
+            for (const auto* phase : {&result.stats.over, &result.stats.under}) {
                 if (!phase->ran) continue;
                 compile += phase->translate_seconds + phase->reduce_seconds;
                 solve += phase->saturate_seconds;
@@ -437,23 +391,24 @@ http::Response Service::handle_query(const http::Request& request,
     }
 
     auto to_entry = [&](std::size_t i) {
-        if (!slots[i].error.empty()) {
+        if (!slots[i].outcome) {
             json::Object entry;
             entry.emplace("query", texts[i]);
             entry.emplace("error", slots[i].error);
             return json::Value(std::move(entry));
         }
-        auto entry = io::result_to_json_value(*slots[i].network, texts[i],
-                                              *slots[i].result, stats);
-        entry.as_object().emplace("cached", slots[i].cached);
-        if (slots[i].tier)
-            entry.as_object().emplace("path",
-                                      std::string(delta::to_string(*slots[i].tier)));
+        const auto& outcome = *slots[i].outcome;
+        auto entry = io::result_to_json_value(*outcome.snapshot.network, texts[i],
+                                              outcome.result, stats);
+        entry.as_object().emplace("cached", cached(slots[i]));
+        // Generation-0 replies stay as they were before any PATCH existed.
+        if (outcome.snapshot.generation > 0)
+            entry.as_object().emplace("path", std::string(delta::to_string(outcome.path)));
         return entry;
     };
 
     if (!batch) {
-        if (!slots[0].error.empty()) {
+        if (!slots[0].outcome) {
             json::Object body;
             body.emplace("query", texts[0]);
             body.emplace("error", slots[0].error);
@@ -515,7 +470,7 @@ http::Response Service::handle_sweep(const http::Request& request,
     WeightExpr weights;
     const auto options = cli::make_verify_options(spec, weights); // validates
 
-    // Sweeps bypass the result cache: the sweep engine *is* the
+    // Sweeps bypass the answer store: the sweep engine *is* the
     // amortization (shared NFAs, rebased frontiers, pooled workspaces),
     // and a grid rarely repeats verbatim.
     const auto sweep =
@@ -539,20 +494,24 @@ http::Response Service::handle_sweep(const http::Request& request,
 http::Response Service::handle_metrics(const http::Request& request) {
     const auto snap = telemetry::snapshot();
     auto runtime = _runtime_info ? _runtime_info() : json::Object{};
+    const auto workspaces = _workspaces.list();
+    std::size_t entries = 0; // stored answers, summed over workspaces
+    for (const auto& workspace : workspaces) entries += workspace.reverifier->entries();
+    constexpr auto capacity = delta::Reverifier::k_max_entries; // per workspace
 
     if (request.query_parameter("format", "prometheus")) {
         // Point-in-time server state rides along as extra gauges; the
         // registry's own gauges are high-water marks and keep their names.
         std::vector<telemetry::ExpositionGauge> extra;
         extra.push_back({"aalwines_cache_entries",
-                         "Compiled-result cache entries currently resident.",
-                         static_cast<double>(_cache.size())});
+                         "Stored answers currently resident, over all workspaces.",
+                         static_cast<double>(entries)});
         extra.push_back({"aalwines_cache_capacity",
-                         "Compiled-result cache capacity (entries).",
-                         static_cast<double>(_cache.capacity())});
+                         "Stored answers one workspace may hold.",
+                         static_cast<double>(capacity)});
         extra.push_back({"aalwines_workspaces",
                          "Networks currently loaded.",
-                         static_cast<double>(_workspaces.size())});
+                         static_cast<double>(workspaces.size())});
         if (const auto depth = runtime.find("queueDepth"); depth != runtime.end())
             extra.push_back({"aalwines_queue_depth",
                              "Accepted connections currently waiting for a worker.",
@@ -590,8 +549,8 @@ http::Response Service::handle_metrics(const http::Request& request) {
     }
 
     json::Object cache;
-    cache.emplace("entries", _cache.size());
-    cache.emplace("capacity", _cache.capacity());
+    cache.emplace("entries", entries);
+    cache.emplace("capacity", capacity);
     cache.emplace("hits", snap.counter(telemetry::Counter::server_cache_hits));
     cache.emplace("misses", snap.counter(telemetry::Counter::server_cache_misses));
     cache.emplace("evictions", snap.counter(telemetry::Counter::server_cache_evictions));
@@ -604,21 +563,15 @@ http::Response Service::handle_metrics(const http::Request& request) {
     deltas.emplace("coldRebuilds", snap.counter(telemetry::Counter::delta_cold_rebuilds));
     deltas.emplace("statesInvalidated",
                    snap.counter(telemetry::Counter::delta_states_invalidated));
-    // Per patched workspace, how often a PATCH retired its cached results:
-    // once per generation.
-    json::Object invalidations;
-    for (const auto& workspace : _workspaces.list())
-        if (workspace.generation > 0) invalidations.emplace(workspace.id, workspace.generation);
-    deltas.emplace("invalidations", json::Value(std::move(invalidations)));
 
     json::Object current;
-    current.emplace("cacheEntries", _cache.size());
-    current.emplace("workspaces", _workspaces.size());
+    current.emplace("cacheEntries", entries);
+    current.emplace("workspaces", workspaces.size());
     if (const auto depth = runtime.find("queueDepth"); depth != runtime.end())
         current.emplace("queueDepth", depth->second);
 
     json::Object server;
-    server.emplace("workspaces", _workspaces.size());
+    server.emplace("workspaces", workspaces.size());
     server.emplace("cache", json::Value(std::move(cache)));
     server.emplace("deltas", json::Value(std::move(deltas)));
     server.emplace("requests", snap.counter(telemetry::Counter::server_requests));

@@ -4,7 +4,7 @@
 // through src/server/server.hpp in production.
 //
 //   GET    /healthz              liveness probe
-//   GET    /metrics              telemetry snapshot + server/cache gauges
+//   GET    /metrics              telemetry snapshot + server/answer-store gauges
 //   GET    /networks             list loaded workspaces
 //   POST   /networks             load a network (demo | gml | XML pair)
 //   GET    /networks/{id}        workspace statistics
@@ -16,11 +16,12 @@
 //                                × link-failure-scenario axes) and return the
 //                                health matrix (see verify/sweep.hpp)
 //
-// A PATCH applies a NetworkDelta (docs/FORMATS.md) through the workspace's
-// delta::Reverifier, which publishes the copy-on-write result as the next
-// delta generation; the workspace's cached results are evicted and later
-// queries run through the Reverifier, which reuses or rebases per-query
-// translation caches instead of recompiling from scratch.
+// Every query is answered by the workspace's delta::Reverifier, its one
+// answer store: a stored answer is served again while the deltas since it
+// miss its footprint, and otherwise re-answered warm (rebasing its live
+// translation) or cold.  A PATCH applies a NetworkDelta (docs/FORMATS.md)
+// through the same Reverifier, which publishes the copy-on-write result as
+// the next delta generation.
 //
 // See docs/SERVER.md for the request/response schemas.
 
@@ -32,16 +33,14 @@
 
 #include "json/json.hpp"
 #include "server/access_log.hpp"
-#include "server/cache.hpp"
 #include "server/http.hpp"
 #include "server/workspace.hpp"
 
 namespace aalwines::server {
 
 struct ServiceConfig {
-    std::size_t cache_capacity = 256; ///< compiled-result LRU entries, 0 = off
-    std::string access_log_path;      ///< JSON-lines request log; "" = off, "-" = stdout
-    std::uint32_t slow_query_ms = 0;  ///< flag+detail requests slower than this; 0 = off
+    std::string access_log_path;     ///< JSON-lines request log; "" = off, "-" = stdout
+    std::uint32_t slow_query_ms = 0; ///< flag+detail requests slower than this; 0 = off
 };
 
 class Service {
@@ -59,7 +58,6 @@ public:
     void set_runtime_info(std::function<json::Object()> provider);
 
     [[nodiscard]] WorkspaceRegistry& workspaces() { return _workspaces; }
-    [[nodiscard]] ResultCache& cache() { return _cache; }
 
 private:
     [[nodiscard]] http::Response route(const http::Request& request, json::Object* log);
@@ -81,7 +79,6 @@ private:
 
     ServiceConfig _config;
     WorkspaceRegistry _workspaces;
-    ResultCache _cache;
     std::function<json::Object()> _runtime_info;
     std::unique_ptr<AccessLog> _access_log;
 };

@@ -6,8 +6,7 @@ namespace aalwines::server {
 
 Workspace WorkspaceRegistry::lookup(const Entry& entry) {
     auto snapshot = entry.reverifier->snapshot();
-    return {entry.id, entry.sequence, entry.reverifier, snapshot.generation,
-            std::move(snapshot.network)};
+    return {entry.id, entry.reverifier, snapshot.generation, std::move(snapshot.network)};
 }
 
 Workspace WorkspaceRegistry::add(Network&& network) {
@@ -16,8 +15,7 @@ Workspace WorkspaceRegistry::add(Network&& network) {
         std::make_shared<const Network>(std::move(network)));
     {
         const util::MutexLock lock(_mutex);
-        entry.sequence = _next_sequence++;
-        entry.id = "n" + std::to_string(entry.sequence);
+        entry.id = "n" + std::to_string(_next_id++);
         _entries.push_back(entry);
     }
     return lookup(entry);

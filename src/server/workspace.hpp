@@ -18,16 +18,13 @@ namespace aalwines::server {
 
 /// A workspace as one lookup saw it.
 struct Workspace {
-    std::string id;                         ///< registry handle, "n1", "n2", ...
-    std::uint64_t sequence = 0;             ///< monotonic load sequence number
-    /// The only holder of the workspace's snapshot chain, from registration
-    /// on: a PATCH publishes through its apply(), and a query on a patched
-    /// workspace is answered by its verify().
+    std::string id; ///< registry handle, "n1", "n2", ...
+    /// The only holder of the workspace's snapshot chain and its answer
+    /// store, from registration on: a PATCH publishes through its apply(),
+    /// and every query is answered by its verify().
     std::shared_ptr<delta::Reverifier> reverifier;
     /// The snapshot current at the lookup, read under one lock.  Generation
-    /// 0 is the network as loaded, +1 per applied PATCH; with `sequence` it
-    /// versions every cache key, so patching never resurrects results
-    /// computed against an older snapshot.
+    /// 0 is the network as loaded, +1 per applied PATCH.
     std::uint64_t generation = 0;
     std::shared_ptr<const Network> network;
 };
@@ -51,7 +48,6 @@ public:
 private:
     struct Entry {
         std::string id;
-        std::uint64_t sequence = 0;
         std::shared_ptr<delta::Reverifier> reverifier;
     };
 
@@ -62,7 +58,7 @@ private:
 
     mutable util::Mutex _mutex;
     std::vector<Entry> _entries GUARDED_BY(_mutex);
-    std::uint64_t _next_sequence GUARDED_BY(_mutex) = 1;
+    std::uint64_t _next_id GUARDED_BY(_mutex) = 1;
 };
 
 } // namespace aalwines::server

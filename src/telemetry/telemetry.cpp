@@ -97,7 +97,7 @@ const HistogramInfo& info_of(Histogram histogram) {
         {"aalwines_query_phase_seconds", "phase=\"witness\"",
          k_ns, "Per-pass pipeline phase wall clock."},
         {"aalwines_cache_lookup_seconds", "",
-         k_ns, "Compiled-query result cache probe latency."},
+         k_ns, "Answer-store probe latency."},
         {"aalwines_materialized_rule_ratio", "",
          k_pct, "Fraction of eager-translation rules materialized by lazy saturation."},
         {"aalwines_patch_apply_seconds", "",

@@ -47,14 +47,14 @@ enum class Counter : std::uint32_t {
     traces_reconstructed,   ///< witnesses successfully mapped to traces
     server_requests,        ///< HTTP requests handled by the verification daemon
     server_rejected,        ///< requests refused by admission control (503)
-    server_cache_hits,      ///< compiled-query cache hits (src/server/cache.hpp)
-    server_cache_misses,    ///< compiled-query cache misses
-    server_cache_evictions, ///< compiled-query cache entries evicted (LRU + invalidation)
+    server_cache_hits,      ///< answers served from a workspace's store (delta/reverify.hpp)
+    server_cache_misses,    ///< answers the store computed (warm or cold)
+    server_cache_evictions, ///< store entries LRU-evicted
     server_patches,         ///< PATCH /networks/{id} deltas applied
-    // Re-answers by delta::Session tier: PATCH re-answers and sweep cells.
-    delta_tier1_reused,     ///< re-answers reusing the anchor's result
-    delta_tier2_resaturations, ///< re-answers re-saturating a rebased translation
-    delta_cold_rebuilds,    ///< re-answers verified from a fresh translation
+    // Answers by delta::Session tier: the answer store and sweep cells.
+    delta_tier1_reused,     ///< answers reusing an anchor across at least one change
+    delta_tier2_resaturations, ///< answers re-saturating a rebased translation
+    delta_cold_rebuilds,    ///< answers verified from a fresh translation
     delta_states_invalidated, ///< control states un-materialized by delta rebasing
     count_,
 };
@@ -66,7 +66,7 @@ enum class Gauge : std::uint32_t {
     epsilon_high_water,    ///< ε-transition table size after saturation
     worklist_high_water,   ///< peak saturation worklist length
     server_queue_high_water, ///< peak pending-connection queue depth (daemon)
-    cache_entries_high_water, ///< peak compiled-query cache residency (entries)
+    cache_entries_high_water, ///< peak answer-store residency of one workspace (entries)
     count_,
 };
 inline constexpr std::size_t k_gauge_count = static_cast<std::size_t>(Gauge::count_);
@@ -86,7 +86,7 @@ enum class Histogram : std::uint32_t {
     query_translate,         ///< per phase: translation + reduction + initial automaton (ns)
     query_saturate,          ///< per phase: post* saturation (incl. lazy materialization) (ns)
     query_witness,           ///< per phase: acceptance search + witness unroll (ns)
-    cache_lookup,            ///< compiled-query cache probe (ns)
+    cache_lookup,            ///< answer-store probe (ns)
     materialized_rule_pct,   ///< lazy translation: % of eager rules materialized (0-100)
     patch_apply,             ///< PATCH delta application (copy + overlay + rebase) (ns)
     count_,

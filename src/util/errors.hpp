@@ -57,11 +57,12 @@ namespace detail {
 /// dozen levels deep.
 inline constexpr unsigned k_max_nesting = 256;
 
-/// The most atoms a query's bounded repetitions r{n,m} may expand to, all
-/// together: each adds its copies of r times the atoms of r.  Expansions are
-/// built eagerly, so without a bound `.{0,100000}`, `.` with a few dozen
+/// The most atoms a query may write, and, separately, the most its bounded
+/// repetitions r{n,m} may expand to, all together: each adds its copies of r
+/// times the atoms of r.  Atoms and expansions are built eagerly, so without
+/// a bound a query of 50,000 `.` atoms, `.{0,100000}`, `.` with a few dozen
 /// stacked `{2}`, or a few thousand `.{1000}` exhaust time or memory.
-inline constexpr std::size_t k_max_repeat_atoms = 1024;
+inline constexpr std::size_t k_max_query_atoms = 1024;
 
 /// Scope guard for one nesting level of a recursive-descent parser: counts
 /// the level in `depth` while it lives.  Past k_max_nesting levels it calls

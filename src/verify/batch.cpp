@@ -1,9 +1,7 @@
 #include "verify/batch.hpp"
 
-#include <atomic>
-#include <thread>
-
 #include "telemetry/telemetry.hpp"
+#include "util/parallel.hpp"
 
 namespace aalwines::verify {
 
@@ -13,39 +11,17 @@ std::vector<BatchItem> verify_batch(const Network& network,
     AALWINES_SPAN("verify_batch");
     std::vector<BatchItem> items(texts.size());
     for (std::size_t i = 0; i < texts.size(); ++i) items[i].query_text = texts[i];
-    if (texts.empty()) return items;
-
-    if (jobs == 0) jobs = std::max(1u, std::thread::hardware_concurrency());
-    jobs = std::min(jobs, texts.size());
-
-    // Concurrency contract (no mutex on purpose): `next` is the only shared
-    // mutable word — a relaxed fetch_add hands each worker a distinct index,
-    // so every items[index] slot has exactly one writer.  The joins below
-    // publish the slots to the caller; `network`/`options` are read-only.
-    std::atomic<std::size_t> next{0};
-    auto worker = [&]() {
-        AALWINES_SPAN("batch_worker");
-        for (;;) {
-            const auto index = next.fetch_add(1, std::memory_order_relaxed);
-            if (index >= items.size()) return;
-            auto& item = items[index];
-            try {
-                const auto query = query::parse_query(item.query_text, network);
-                item.result = verify(network, query, options);
-            } catch (const std::exception& error) {
-                item.error = error.what();
-            }
+    // `network` and `options` are read-only; each item has one writer.
+    util::parallel_for(items.size(), jobs, [&](std::size_t, std::size_t index) {
+        AALWINES_SPAN("batch_query");
+        auto& item = items[index];
+        try {
+            const auto query = query::parse_query(item.query_text, network);
+            item.result = verify(network, query, options);
+        } catch (const std::exception& error) {
+            item.error = error.what();
         }
-    };
-
-    if (jobs == 1) {
-        worker();
-        return items;
-    }
-    std::vector<std::thread> threads;
-    threads.reserve(jobs);
-    for (std::size_t i = 0; i < jobs; ++i) threads.emplace_back(worker);
-    for (auto& thread : threads) thread.join();
+    });
     return items;
 }
 

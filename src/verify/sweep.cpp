@@ -1,16 +1,15 @@
 #include "verify/sweep.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <memory>
 #include <mutex>
-#include <thread>
 
 #include "delta/delta.hpp"
 #include "pda/solver.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/errors.hpp"
+#include "util/parallel.hpp"
 #include "verify/translation.hpp"
 
 namespace aalwines::verify {
@@ -157,77 +156,61 @@ SweepResult run_sweep(const Network& network, const SweepSpec& spec,
     for (auto& flag : nfa_once) flag = std::make_unique<std::once_flag>();
     std::vector<std::shared_ptr<const CompiledNfas>> pair_nfas(pairs.size());
 
-    if (jobs == 0) jobs = std::max(1u, std::thread::hardware_concurrency());
-    jobs = std::min(jobs, n_chains);
-
-    // Concurrency contract (no mutex on purpose): `next` hands each worker
-    // a distinct chain index via relaxed fetch_add, so every chain's cell
-    // slots have exactly one writer; pair_nfas publication goes through
-    // call_once.  The joins publish the cells; `network`, `options` and the
+    // Workspace tier: one solver workspace per worker, reused by every cell
+    // the worker runs (the worklist arena), each on its own cache line since
+    // every worklist push writes its arena.  Concurrency contract: each
+    // chain's cell slots have one writer (util::parallel_for), pair_nfas
+    // publication goes through call_once, and `network`, `options` and the
     // scenario states are read-only throughout.
-    std::atomic<std::size_t> next{0};
-    auto worker = [&]() {
-        AALWINES_SPAN("sweep_worker");
-        // Workspace tier: one solver workspace per worker, reused by every
-        // cell the worker runs (the worklist arena).
-        pda::SolverWorkspace workspace;
-        VerifyOptions cell_options = options;
-        cell_options.workspace = &workspace;
-        for (;;) {
-            const auto chain = next.fetch_add(1, std::memory_order_relaxed);
-            if (chain >= n_chains) return;
-            const std::size_t p = chain / budgets.size();
-            SweepCell* cells = &sweep.cells[chain * n_scenarios];
-
-            try {
-                std::call_once(*nfa_once[p], [&] {
-                    pair_nfas[p] = std::make_shared<const CompiledNfas>(compile_query_nfas(
-                        network, query::parse_query(cells[0].query_text, network)));
-                });
-            } catch (const std::exception& error) {
-                for (std::size_t s = 0; s < n_scenarios; ++s)
-                    cells[s].error = error.what();
-                continue;
-            }
-
-            // Frontier tier: the scenarios the session's anchor and its live
-            // translation sit on.  Only the chain's first answer is anchored.
-            delta::Session session(cells[0].query_text, cell_options, pair_nfas[p]);
-            std::size_t anchor = 0, live = 0;
-            for (std::size_t s = 0; s < n_scenarios; ++s) {
-                auto& cell = cells[s];
-                const auto& scenario = scenario_states[s];
-                const auto cell_start = Clock::now();
-                try {
-                    const bool first = !session.anchored();
-                    const auto since_anchor =
-                        toggled_between(scenario_states[anchor].flips, scenario.flips);
-                    const auto since_live =
-                        toggled_between(scenario_states[live].flips, scenario.flips);
-                    auto answer =
-                        session.answer(scenario.network, &since_anchor, &since_live, first);
-                    cell.result = std::move(answer.result);
-                    cell.path = answer.tier;
-                    if (answer.tier != CellPath::Reused) {
-                        live = s;
-                        if (first) anchor = s;
-                    }
-                } catch (const std::exception& error) {
-                    cell.error = error.what();
-                }
-                cell.seconds = seconds_since(cell_start);
-            }
-        }
+    struct alignas(64) WorkerWorkspace {
+        pda::SolverWorkspace solver;
     };
+    std::vector<WorkerWorkspace> workspaces(util::worker_count(n_chains, jobs));
+    util::parallel_for(n_chains, jobs, [&](std::size_t worker, std::size_t chain) {
+        AALWINES_SPAN("sweep_chain");
+        VerifyOptions cell_options = options;
+        cell_options.workspace = &workspaces[worker].solver;
+        const std::size_t p = chain / budgets.size();
+        SweepCell* cells = &sweep.cells[chain * n_scenarios];
 
-    if (jobs <= 1) {
-        worker();
-    } else {
-        std::vector<std::thread> threads;
-        threads.reserve(jobs);
-        for (std::size_t i = 0; i < jobs; ++i) threads.emplace_back(worker);
-        for (auto& thread : threads) thread.join();
-    }
+        try {
+            std::call_once(*nfa_once[p], [&] {
+                pair_nfas[p] = std::make_shared<const CompiledNfas>(compile_query_nfas(
+                    network, query::parse_query(cells[0].query_text, network)));
+            });
+        } catch (const std::exception& error) {
+            for (std::size_t s = 0; s < n_scenarios; ++s) cells[s].error = error.what();
+            return;
+        }
+
+        // Frontier tier: the scenarios the session's anchor and its live
+        // translation sit on.  Only the chain's first answer is anchored.
+        delta::Session session(cells[0].query_text, cell_options, pair_nfas[p]);
+        std::size_t anchor = 0, live = 0;
+        for (std::size_t s = 0; s < n_scenarios; ++s) {
+            auto& cell = cells[s];
+            const auto& scenario = scenario_states[s];
+            const auto cell_start = Clock::now();
+            try {
+                const bool first = session.anchor() == nullptr;
+                const auto since_anchor =
+                    toggled_between(scenario_states[anchor].flips, scenario.flips);
+                const auto since_live =
+                    toggled_between(scenario_states[live].flips, scenario.flips);
+                auto answer =
+                    session.answer(scenario.network, &since_anchor, &since_live, first);
+                cell.result = std::move(answer.result);
+                cell.path = answer.tier;
+                if (answer.tier != CellPath::Reused) {
+                    live = s;
+                    if (first) anchor = s;
+                }
+            } catch (const std::exception& error) {
+                cell.error = error.what();
+            }
+            cell.seconds = seconds_since(cell_start);
+        }
+    });
 
     auto& stats = sweep.stats;
     stats.cells = sweep.cells.size();

@@ -81,9 +81,17 @@ Translation::Translation(const Network& network, const query::Query& query,
         _nfa_a = std::move(nfas.initial_header);
         _nfa_c = std::move(nfas.final_header);
     }
-    _failure_slots = _options.approximation == Approximation::Under
-                         ? static_cast<std::uint32_t>(query.max_failures) + 1
-                         : 1;
+    // (k + 1) × path-NFA states × links control states for Under, numbered
+    // below the P-automaton's helper states; counted in 64 bits, so a huge k
+    // is an error instead of a wrapped slot count.
+    const std::uint64_t per_slot = std::max<std::uint64_t>(
+        1, std::uint64_t{_nfa_b.size()} * network.topology.link_count());
+    const std::uint64_t failures =
+        _options.approximation == Approximation::Under ? query.max_failures : 0;
+    if (failures >= (pda::k_first_helper - 1) / per_slot)
+        throw model_error("failure budget " + std::to_string(failures) +
+                          " needs more control states than a PDA can number");
+    _failure_slots = static_cast<std::uint32_t>(failures + 1);
     if (_options.approximation == Approximation::Exact && _options.failed_links == nullptr)
         throw model_error("exact translation requires a concrete failure set");
 

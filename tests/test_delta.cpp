@@ -14,6 +14,7 @@
 #include <memory>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cli/options.hpp"
@@ -285,8 +286,13 @@ TEST(DeltaApply, LinkStateAndDistanceRecordEffectsOnlyOnChange) {
 
 // ---- the tiered re-verifier ------------------------------------------
 
+/// Generation 0 keeps no live translation, so tests of the warm tier start
+/// their Reverifier one (empty) delta in.
+void pass_generation_zero(Reverifier& reverifier) { reverifier.apply(NetworkDelta{}); }
+
 TEST(Reverifier, RepeatQueryIsReusedAndDeltasRebase) {
     Reverifier reverifier(std::make_shared<const Network>(synthesis::make_figure1_network()));
+    pass_generation_zero(reverifier);
     const cli::VerifySpec spec;
     const auto cold = reverifier.verify(k_fig1_yes, spec);
     EXPECT_EQ(cold.path, VerifyPath::Cold);
@@ -302,10 +308,10 @@ TEST(Reverifier, RepeatQueryIsReusedAndDeltasRebase) {
     const auto applied = reverifier.apply(parse_delta(R"({"operations": [
         {"op": "add-rule", "router": "v0", "from": "e0", "label": "ip1", "type": "ip",
          "to": "e1", "ops": [{"op": "push", "label": "20", "type": "smpls"}]}]})"));
-    EXPECT_EQ(applied.generation, 1u);
+    EXPECT_EQ(applied.generation, 2u);
     const auto warm = reverifier.verify(k_fig1_yes, spec);
     EXPECT_EQ(warm.path, VerifyPath::Warm);
-    EXPECT_EQ(warm.snapshot.generation, 1u);
+    EXPECT_EQ(warm.snapshot.generation, 2u);
 
     // A delta on rules the query never demands (v4's s43 entry lies beyond
     // the 0-failure trace region) is invisible: Tier-1 reuse.
@@ -334,6 +340,78 @@ TEST(Reverifier, ColdFallbacks) {
     cli::VerifySpec moped_spec;
     moped_spec.engine = "moped";
     EXPECT_EQ(moped.verify(k_fig1_yes, moped_spec).path, VerifyPath::Cold);
+}
+
+/// A never-patched Reverifier keeps only anchors: answers are served from
+/// the store at their generation and across deltas off their footprint, but
+/// the first delta on the footprint answers cold, and only then does the
+/// entry keep a live translation to go warm.
+TEST(Reverifier, NeverPatchedKeepsAnchorsButNoTranslation) {
+    Reverifier reverifier(std::make_shared<const Network>(synthesis::make_figure1_network()));
+    const cli::VerifySpec spec;
+    EXPECT_EQ(reverifier.verify(k_fig1_yes, spec).path, VerifyPath::Cold);
+    EXPECT_EQ(reverifier.verify(k_fig1_yes, spec).path, VerifyPath::Reused);
+    EXPECT_EQ(reverifier.entries(), 1u);
+    reverifier.apply(parse_delta(R"({"operations": [
+        {"op": "remove-rule", "router": "v4", "from": "in5", "label": "42", "type": "smpls",
+         "to": "e6", "ops": [{"op": "swap", "label": "43", "type": "smpls"}]}]})"));
+    EXPECT_EQ(reverifier.verify(k_fig1_yes, spec).path, VerifyPath::Reused);
+    reverifier.apply(parse_delta(R"({"operations": [
+        {"op": "link-state", "router": "v0", "interface": "e1", "up": false}]})"));
+    EXPECT_EQ(reverifier.verify(k_fig1_yes, spec).path, VerifyPath::Cold);
+    reverifier.apply(parse_delta(R"({"operations": [
+        {"op": "link-state", "router": "v0", "interface": "e1", "up": true}]})"));
+    const auto warm = reverifier.verify(k_fig1_yes, spec);
+    EXPECT_EQ(warm.path, VerifyPath::Warm);
+    EXPECT_EQ(warm.snapshot.generation, 3u);
+}
+
+/// A query that fails evicts nothing: it enters the store busy and leaves it
+/// when its verification throws, so a full store keeps every answer.
+TEST(Reverifier, FailingQueryLeavesAFullStoreUnchanged) {
+    Reverifier reverifier(std::make_shared<const Network>(synthesis::make_figure1_network()));
+    const cli::VerifySpec spec;
+    const auto text = [](std::size_t k) {
+        return "<ip> [.#v0] .* [v3#.] <ip> " + std::to_string(k);
+    };
+    for (std::size_t k = 0; k < Reverifier::k_max_entries; ++k)
+        ASSERT_EQ(reverifier.verify(text(k), spec).path, VerifyPath::Cold);
+    EXPECT_THROW((void)reverifier.verify("<ip> [.#v0] .{18446744073709551616} [v3#.] <ip> 0",
+                                         spec),
+                 parse_error);
+    EXPECT_EQ(reverifier.entries(), Reverifier::k_max_entries);
+    for (std::size_t k = 0; k < Reverifier::k_max_entries; ++k)
+        EXPECT_EQ(reverifier.verify(text(k), spec).path, VerifyPath::Reused) << text(k);
+}
+
+/// Concurrent repeats across a delta off the footprint are all served from
+/// the store, with the stored answer; a delta on the footprint then
+/// re-answers once, warm, and the next repeat is served again.
+TEST(Reverifier, ConcurrentRepeatsAcrossADeltaShareOneAnswer) {
+    Reverifier reverifier(std::make_shared<const Network>(synthesis::make_figure1_network()));
+    pass_generation_zero(reverifier);
+    const cli::VerifySpec spec;
+    const auto first = reverifier.verify(k_fig1_yes, spec);
+    reverifier.apply(parse_delta(R"({"operations": [
+        {"op": "remove-rule", "router": "v4", "from": "in5", "label": "42", "type": "smpls",
+         "to": "e6", "ops": [{"op": "swap", "label": "43", "type": "smpls"}]}]})"));
+    std::vector<std::thread> threads;
+    std::vector<std::vector<VerifyPath>> paths(4);
+    for (auto& seen : paths)
+        threads.emplace_back([&] {
+            for (int i = 0; i < 50; ++i) seen.push_back(reverifier.verify(k_fig1_yes, spec).path);
+        });
+    for (auto& thread : threads) thread.join();
+    for (const auto& seen : paths)
+        for (const auto path : seen) EXPECT_EQ(path, VerifyPath::Reused);
+    const auto reused = reverifier.verify(k_fig1_yes, spec);
+    EXPECT_EQ(canonical(*reverifier.network(), k_fig1_yes, reused.result),
+              canonical(*reverifier.network(), k_fig1_yes, first.result));
+
+    reverifier.apply(parse_delta(R"({"operations": [
+        {"op": "link-state", "router": "v0", "interface": "e1", "up": false}]})"));
+    EXPECT_EQ(reverifier.verify(k_fig1_yes, spec).path, VerifyPath::Warm);
+    EXPECT_EQ(reverifier.verify(k_fig1_yes, spec).path, VerifyPath::Reused);
 }
 
 /// An outcome names the snapshot that answered it, which the daemon keys
@@ -409,6 +487,7 @@ TEST(Reverifier, LinkDownRoundTripRestoresTheAnswer) {
 TEST(Reverifier, AddedEntryReArmsAnEmptyClaim) {
     constexpr const char* query_text = "<s10 ip> [.#v0] .* [v3#.] <ip> 0";
     Reverifier reverifier(std::make_shared<const Network>(synthesis::make_figure1_network()));
+    pass_generation_zero(reverifier);
     const cli::VerifySpec spec;
     const auto before = reverifier.verify(query_text, spec);
     ASSERT_EQ(before.path, VerifyPath::Cold);
@@ -443,6 +522,7 @@ TEST(Reverifier, AgreesWithASweepCell) {
          {Case{{"v0", "e1"}, VerifyPath::Warm}, Case{{"v4", "e6"}, VerifyPath::Reused}}) {
         SCOPED_TRACE(link.router + "." + link.interface);
         Reverifier reverifier(base);
+        pass_generation_zero(reverifier);
         ASSERT_EQ(reverifier.verify(k_fig1_yes, {}).path, VerifyPath::Cold);
         reverifier.apply(NetworkDelta{{link_state_op(link, false)}});
         const auto patched = reverifier.verify(k_fig1_yes, {});
@@ -533,6 +613,7 @@ void run_battery(const Network& base, const std::string& query_text,
                  const cli::VerifySpec& spec, std::size_t iterations,
                  std::uint32_t seed, BatteryOutcome& outcome) {
     Reverifier reverifier(std::make_shared<const Network>(base));
+    pass_generation_zero(reverifier);
     (void)reverifier.verify(query_text, spec);
 
     const auto sites = collect_sites(base);

@@ -7,6 +7,7 @@
 
 #include "model/quantity.hpp"
 #include "synthesis/dataplane.hpp"
+#include "util/errors.hpp"
 #include "verify/engine.hpp"
 
 namespace aalwines::verify {
@@ -28,6 +29,15 @@ TEST_F(Figure1Engine, Phi0IsSatisfied) {
     const auto feasibility = check_feasibility(net, *result.trace, 0);
     EXPECT_TRUE(feasibility.feasible) << feasibility.reason;
     EXPECT_EQ(result.trace->size(), 4u); // σ0 or σ1
+}
+
+TEST_F(Figure1Engine, FailureBudgetPastTheStateSpaceIsAnError) {
+    // (k + 1) × path-NFA states × links control states no longer fit below
+    // the P-automaton's helper ids; the slot count used to wrap to 0 (a
+    // crash) or, at k = 2^32, to one slot.
+    EXPECT_THROW((void)run("<ip> [.#v0] .* [v3#.] <ip> 4294967295 UNDER"), model_error);
+    EXPECT_THROW((void)run("<ip> [.#v0] .* [v3#.] <ip> 4294967296 UNDER"), model_error);
+    EXPECT_EQ(run("<ip> [.#v0] .* [v3#.] <ip> 4294967295").answer, Answer::Yes);
 }
 
 TEST_F(Figure1Engine, Phi1IsSatisfiedAvoidingE4) {

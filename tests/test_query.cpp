@@ -173,14 +173,14 @@ TEST_F(QueryParser, RepetitionExpansionIsBounded) {
     const auto path = [&](const std::string& regex) {
         return query::parse_query("<ip> " + regex + " <ip> 0", net).path;
     };
-    const auto n = std::to_string(k_max_repeat_atoms);
-    const auto past = std::to_string(k_max_repeat_atoms + 1);
+    const auto n = std::to_string(k_max_query_atoms);
+    const auto past = std::to_string(k_max_query_atoms + 1);
     EXPECT_NO_THROW((void)path(".{0," + n + "}"));
     EXPECT_THROW((void)path(".{0," + past + "}"), parse_error);
     EXPECT_NO_THROW((void)path(".{" + n + "}"));
     EXPECT_THROW((void)path(".{" + past + "}"), parse_error);
     // r{n,} is n copies and r*: n + 1 copies.
-    EXPECT_NO_THROW((void)path(".{" + std::to_string(k_max_repeat_atoms - 1) + ",}"));
+    EXPECT_NO_THROW((void)path(".{" + std::to_string(k_max_query_atoms - 1) + ",}"));
     EXPECT_THROW((void)path(".{" + n + ",}"), parse_error);
     EXPECT_THROW((void)path(".{0,100000}"), parse_error);
     // The atoms of the repeated expression count, so stacked repetitions
@@ -196,6 +196,28 @@ TEST_F(QueryParser, RepetitionExpansionIsBounded) {
     EXPECT_NO_THROW((void)path(".{512} .{512}"));
     EXPECT_THROW((void)path(".{512} .{513}"), parse_error);
     EXPECT_THROW(query::parse_query("<ip{512}> .{513} <ip> 0", net), parse_error);
+}
+
+TEST_F(QueryParser, OverflowingIntegersAreParseErrors) {
+    // 2^64 + 2 used to wrap to .{2}, and 2^64 + 1 failures to k = 1.
+    EXPECT_THROW(query::parse_query("<ip> [.#v0] .{18446744073709551618} [v3#.] <ip> 0", net),
+                 parse_error);
+    EXPECT_THROW(query::parse_query("<ip> [.#v0] .* [v3#.] <ip> 18446744073709551617", net),
+                 parse_error);
+    EXPECT_EQ(query::parse_query("<ip> .* <ip> 18446744073709551615", net).max_failures,
+              18446744073709551615u);
+}
+
+TEST_F(QueryParser, WrittenAtomsAreBounded) {
+    // `<ip>` twice plus n - 2 `.`: n written atoms.
+    const auto written = [&](std::size_t n) {
+        std::string text = "<ip> ";
+        for (std::size_t i = 2; i < n; ++i) text += ". ";
+        return query::parse_query(text + "<ip> 0", net);
+    };
+    EXPECT_NO_THROW((void)written(k_max_query_atoms));
+    EXPECT_THROW((void)written(k_max_query_atoms + 1), parse_error);
+    EXPECT_THROW((void)written(50'000), parse_error);
 }
 
 TEST_F(QueryParser, StackedPostfixOperatorsCompile) {

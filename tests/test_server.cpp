@@ -1,6 +1,6 @@
 // Loopback integration tests for the verification daemon (src/server/):
 // real sockets against an in-process Server, covering the REST surface,
-// the compiled-query cache, admission control, deadline handling and
+// the workspaces' answer stores, admission control, deadline handling and
 // graceful drain.  The concurrent-client tests also run under the tsan CI
 // job (ctest -R Server).
 
@@ -19,9 +19,9 @@
 #include <fstream>
 
 #include "cli/options.hpp"
+#include "io/results_json.hpp"
 #include "json/json.hpp"
 #include "server/access_log.hpp"
-#include "server/cache.hpp"
 #include "server/server.hpp"
 #include "server/service.hpp"
 #include "telemetry/telemetry.hpp"
@@ -74,6 +74,37 @@ Reply roundtrip(std::uint16_t port, const std::string& method, const std::string
 }
 
 json::Value parse_body(const Reply& reply) { return json::parse(reply.body); }
+
+/// Service::handle without sockets, for tests where socket timing must not
+/// decide the outcome.
+struct Direct {
+    http::Response operator()(const std::string& method, const std::string& target,
+                              const std::string& body = {}) {
+        http::Request request;
+        request.method = method;
+        request.target = target;
+        request.body = body;
+        return service.handle(request);
+    }
+    /// Load figure 1 and return its /networks/{id} path.
+    std::string load_figure1() {
+        const auto load = (*this)("POST", "/networks", R"({"demo":"figure1"})");
+        EXPECT_EQ(load.status, 201) << load.body;
+        return "/networks/" + json::parse(load.body).at("id").as_string();
+    }
+
+    Service service;
+};
+
+std::string single_query(const std::string& text) {
+    return R"({"query":")" + text + R"("})";
+}
+
+/// A PATCH off k_yes_query's footprint: v4's s43 entry lies beyond the
+/// 0-failure trace region.
+constexpr const char* k_off_footprint = R"({"operations": [
+    {"op": "remove-rule", "router": "v4", "from": "in5", "label": "42", "type": "smpls",
+     "to": "e6", "ops": [{"op": "swap", "label": "43", "type": "smpls"}]}]})";
 
 /// Service + Server on an ephemeral port, stopped on destruction.
 struct Daemon {
@@ -287,6 +318,12 @@ TEST(Server, DeepNestingIsABadRequestNotACrash) {
                         R"({"query":")" + deep_plus + R"("})")
                   .status,
               200);
+    // A failure budget whose control states no PDA can number is an error
+    // reply; the slot count used to wrap and crash the daemon.
+    const auto huge_k = roundtrip(port, "POST", "/networks/" + id + "/query",
+                                  single_query("<ip> [.#v0] .* [v3#.] <ip> 4294967295 UNDER"));
+    EXPECT_EQ(huge_k.status, 400) << huge_k.raw;
+    EXPECT_NE(parse_body(huge_k).find("error"), nullptr);
     EXPECT_EQ(roundtrip(port, "GET", "/healthz").status, 200);
 }
 
@@ -315,7 +352,7 @@ TEST(Server, PatchAppliesDeltaAndScopesInvalidation) {
     const auto patched = daemon.load_figure1();
     const auto bystander = daemon.load_figure1();
 
-    // Prime both workspaces' result caches.
+    // Prime both workspaces' answer stores.
     const auto query_body = std::string(R"({"query":")") + k_yes_query + R"("})";
     for (const auto* id : {&patched, &bystander})
         ASSERT_EQ(roundtrip(port, "POST", "/networks/" + *id + "/query", query_body).status,
@@ -338,9 +375,6 @@ TEST(Server, PatchAppliesDeltaAndScopesInvalidation) {
     const auto body = parse_body(reply);
     EXPECT_EQ(body.at("generation").as_int(), 1);
     EXPECT_EQ(body.at("operations").as_int(), 1);
-    EXPECT_EQ(body.at("invalidations").as_int(), 1);
-    // Only the patched workspace's cached result was retired.
-    EXPECT_EQ(body.at("cacheEvictions").as_int(), 1);
     EXPECT_EQ(body.at("effects").at("stateLinks").as_array().size(), 1u);
     EXPECT_FALSE(body.at("effects").at("labelAdded").as_bool());
 
@@ -883,30 +917,104 @@ TEST(Server, ConcurrentStopAndWaitDrainTogether) {
     for (auto& stopper : stoppers) stopper.join();
 }
 
-TEST(Server, ResultCacheConcurrentInsertFindEvict) {
-    // The LRU list and index share one mutex; hammer insert/find/evict from
-    // several threads (32 hot keys against capacity 8 forces constant
-    // eviction) and check the structural invariants afterwards.
-    ResultCache cache(8);
+TEST(Server, AnswerStoreConcurrentServeComputeEvict) {
+    // The store's LRU list, index and live-translation list share the
+    // Reverifier's mutex; four threads answer 300 distinct texts (more than
+    // the 256 entries a workspace keeps) with repeats through
+    // Service::handle, so entries are served, computed and evicted at once.
+    Direct handle;
+    const auto target = handle.load_figure1();
+    const auto before = telemetry::snapshot();
+    constexpr int k_texts = 300;
     constexpr int k_threads = 4;
-    constexpr int k_ops = 400;
+    std::atomic<int> failures{0};
     std::vector<std::thread> workers;
     workers.reserve(k_threads);
     for (int t = 0; t < k_threads; ++t)
-        workers.emplace_back([&cache, t] {
-            for (int i = 0; i < k_ops; ++i) {
-                const auto key = "key-" + std::to_string((t * k_ops + i) % 32);
-                if (cache.find(key) == nullptr)
-                    cache.insert(key, std::make_shared<verify::VerifyResult>());
+        workers.emplace_back([&, t] {
+            for (int i = 0; i < 150; ++i) {
+                const auto k = (t * 75 + i) % k_texts;
+                const auto reply = handle("POST", target + "/query",
+                                          single_query("<ip> [.#v0] .* [v3#.] <ip> " +
+                                                     std::to_string(k)));
+                if (reply.status != 200) ++failures;
             }
         });
     for (auto& worker : workers) worker.join();
-    EXPECT_GT(cache.size(), 0u);
-    EXPECT_LE(cache.size(), cache.capacity());
-    const auto snap = telemetry::snapshot();
-    const auto high_water = snap.gauges[static_cast<std::size_t>(
-        telemetry::Gauge::cache_entries_high_water)];
-    EXPECT_GE(high_water, 1u); // raised under the same lock as the insert
+    EXPECT_EQ(failures.load(), 0);
+
+    const auto metrics = json::parse(handle("GET", "/metrics").body);
+    const auto& cache = metrics.at("server").at("cache");
+    EXPECT_LE(cache.at("entries").as_int(), 256);
+    EXPECT_EQ(cache.at("capacity").as_int(), 256);
+    const auto after = telemetry::snapshot();
+    EXPECT_GE(after.counter(telemetry::Counter::server_cache_evictions) -
+                  before.counter(telemetry::Counter::server_cache_evictions),
+              44u);
+    EXPECT_GE(after.gauge(telemetry::Gauge::cache_entries_high_water), 1u);
+}
+
+TEST(Server, PatchOffTheFootprintIsServedFromTheStore) {
+    // A PATCH that misses the query's footprint leaves its stored answer
+    // valid: the repeat is served without verifying, and equals a cold
+    // verification of the patched snapshot.
+    Direct handle;
+    const auto target = handle.load_figure1();
+    ASSERT_EQ(handle("POST", target + "/query", single_query(k_yes_query)).status, 200);
+    ASSERT_EQ(handle("PATCH", target, k_off_footprint).status, 200);
+    const auto reply = handle("POST", target + "/query", single_query(k_yes_query));
+    ASSERT_EQ(reply.status, 200) << reply.body;
+    auto served = json::parse(reply.body);
+    EXPECT_TRUE(served.at("cached").as_bool());
+    EXPECT_EQ(served.at("path").as_string(), "reused");
+
+    const auto workspace = handle.service.workspaces().find(target.substr(10));
+    ASSERT_TRUE(workspace.has_value());
+    EXPECT_EQ(workspace->generation, 1u);
+    const auto& network = *workspace->network;
+    const auto result = verify::verify(network, query::parse_query(k_yes_query, network));
+    auto cold = io::result_to_json_value(network, k_yes_query, result, false);
+    for (auto* value : {&served, &cold})
+        for (const auto* key : {"seconds", "cached", "path"}) value->as_object().erase(key);
+    EXPECT_EQ(served, cold);
+}
+
+TEST(Server, AnswerStoreEvictsTheLeastRecentlyUsed) {
+    // 257 texts that differ only in k: the first is evicted, the last kept.
+    Direct handle;
+    const auto target = handle.load_figure1();
+    const auto text = [](int k) { return "<ip> [.#v0] .* [v3#.] <ip> " + std::to_string(k); };
+    for (int k = 0; k <= 256; ++k)
+        ASSERT_EQ(handle("POST", target + "/query", single_query(text(k))).status, 200);
+    const auto cached = [&](int k) {
+        const auto reply = handle("POST", target + "/query", single_query(text(k)));
+        EXPECT_EQ(reply.status, 200) << reply.body;
+        return json::parse(reply.body).at("cached").as_bool();
+    };
+    EXPECT_FALSE(cached(0));
+    EXPECT_TRUE(cached(256));
+}
+
+TEST(Server, MopedAnswersAreServedAtTheirGenerationOnly) {
+    // Moped answers have no footprint: a repeat at the same generation is
+    // served, and after any PATCH the answer is recomputed cold.
+    Direct handle;
+    const auto target = handle.load_figure1();
+    const auto body = std::string(R"({"engine":"moped","query":")") + k_yes_query + R"("})";
+    const auto ask = [&] {
+        const auto reply = handle("POST", target + "/query", body);
+        EXPECT_EQ(reply.status, 200) << reply.body;
+        return json::parse(reply.body);
+    };
+    EXPECT_FALSE(ask().at("cached").as_bool());
+    EXPECT_TRUE(ask().at("cached").as_bool());
+    ASSERT_EQ(handle("PATCH", target, k_off_footprint).status, 200);
+    const auto patched = ask();
+    EXPECT_FALSE(patched.at("cached").as_bool());
+    EXPECT_EQ(patched.at("path").as_string(), "cold");
+    const auto repeat = ask();
+    EXPECT_TRUE(repeat.at("cached").as_bool());
+    EXPECT_EQ(repeat.at("path").as_string(), "reused");
 }
 
 // --- option-layer units shared with the daemon (src/cli/options) ---------
@@ -960,12 +1068,14 @@ TEST(ServerOptions, VerifySpecValidation) {
     EXPECT_EQ(options.engine, verify::EngineKind::Weighted);
 }
 
-/// The result cache and the Reverifier's session pool key on
-/// VerifySpec::append_key: a field it left out would hand one spec's answer
-/// to another.  Every single-field change must change the key.
+/// The Reverifier's answer store keys on VerifySpec::append_key: a field it
+/// left out would hand one spec's answer to another.  Every single-field
+/// change must change the key.
 TEST(ServerOptions, VerifySpecKeyCoversEveryField) {
     const auto key_of = [](const cli::VerifySpec& spec) {
-        return cache_key(1, 0, k_yes_query, spec);
+        std::string key;
+        spec.append_key(key);
+        return key;
     };
     std::vector<std::string> keys{key_of({})};
     const auto with = [&](auto edit) {
