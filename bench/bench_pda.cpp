@@ -154,8 +154,7 @@ void nordunet_scaling(benchmark::State& state) {
     }
     state.counters["rules"] = static_cast<double>(net.network.routing.rule_count());
     state.counters["labels"] = static_cast<double>(net.network.labels.size());
-    state.counters["pda_rules_materialized"] =
-        static_cast<double>(last.stats.over.pda_rules_materialized);
+    state.counters["pda_rules_materialized"] = static_cast<double>(last.stats.over.pda_rules);
     state.counters["pda_rules_total"] =
         static_cast<double>(last.stats.over.pda_rules_total);
     state.counters["pda_states"] = static_cast<double>(last.stats.over.pda_states);

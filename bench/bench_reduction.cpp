@@ -1,9 +1,9 @@
 // Ablation (DESIGN.md): effect of the top-of-stack reduction levels on PDA
-// size and verification time, for both our demand-driven post* engine and
-// the Moped-style pre* baseline.  The interesting finding this reproduces:
-// the reduction barely matters for the demand-driven engine (rules that can
-// never fire are also never touched by post*), but it is decisive for a
-// backend that fully saturates the direct encoding.
+// size and on the verification time of the Moped-style pre* baseline, which
+// fully saturates the direct encoding and so pays for every rule the
+// reduction leaves.  Our demand-driven engine translates lazily, where the
+// reduction is a no-op (rules that can never fire are never materialized),
+// so its time is measured once, as the reference.
 
 #include <benchmark/benchmark.h>
 
@@ -20,7 +20,7 @@ using namespace aalwines;
 struct ReductionFixture {
     std::vector<synthesis::ZooInstance> instances;
     std::vector<std::vector<std::string>> batteries;
-    double dual_seconds[3] = {0, 0, 0};
+    double dual_seconds = 0; ///< lazy dual engine, whatever the level
     double moped_seconds[3] = {0, 0, 0};
     std::size_t rules_before[3] = {0, 0, 0};
     std::size_t rules_after[3] = {0, 0, 0};
@@ -42,6 +42,13 @@ ReductionFixture& fixture() {
     return instance;
 }
 
+double seconds_to_verify(const Network& network, const query::Query& query,
+                         const verify::VerifyOptions& options) {
+    const auto start = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(verify::verify(network, query, options));
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+}
+
 void run_level(benchmark::State& state, int level) {
     auto& fix = fixture();
     for (auto _ : state) {
@@ -56,25 +63,17 @@ void run_level(benchmark::State& state, int level) {
                 before += translation.pda().rule_count();
                 translation.reduce(level);
                 after += translation.pda().rule_count();
-                // End-to-end: our engine at this level...
+                // End-to-end: the Moped baseline fed the level-reduced PDA...
                 verify::VerifyOptions options;
-                options.reduction_level = level;
-                auto t0 = std::chrono::steady_clock::now();
-                benchmark::DoNotOptimize(verify::verify(network, query, options));
-                dual_total += std::chrono::duration<double>(
-                                  std::chrono::steady_clock::now() - t0)
-                                  .count();
-                // ...and the Moped baseline fed the level-reduced PDA.
                 options.engine = verify::EngineKind::Moped;
+                options.reduction_level = level;
                 options.moped_reduction = level > 0;
-                t0 = std::chrono::steady_clock::now();
-                benchmark::DoNotOptimize(verify::verify(network, query, options));
-                moped_total += std::chrono::duration<double>(
-                                   std::chrono::steady_clock::now() - t0)
-                                   .count();
+                moped_total += seconds_to_verify(network, query, options);
+                // ...and, once, our lazy engine, which no level changes.
+                if (level == 0) dual_total += seconds_to_verify(network, query, {});
             }
         }
-        fix.dual_seconds[level] = dual_total;
+        if (level == 0) fix.dual_seconds = dual_total;
         fix.moped_seconds[level] = moped_total;
         fix.rules_before[level] = before;
         fix.rules_after[level] = after;
@@ -86,8 +85,7 @@ void print_summary() {
     std::cout << "\n=== ablation: PDA reduction levels ===\n";
     std::cout << std::left << std::setw(8) << "level" << std::right << std::setw(14)
               << "rules before" << std::setw(14) << "rules after" << std::setw(11)
-              << "removed" << std::setw(13) << "dual time" << std::setw(13)
-              << "moped time\n";
+              << "removed" << std::setw(13) << "moped time\n";
     for (int level = 0; level < 3; ++level) {
         const auto removed_pct =
             fix.rules_before[level] == 0
@@ -100,9 +98,10 @@ void print_summary() {
                   << fix.rules_before[level] << std::setw(14) << fix.rules_after[level]
                   << std::setw(10) << std::fixed << std::setprecision(1) << removed_pct
                   << "%" << std::setw(12) << std::setprecision(3)
-                  << fix.dual_seconds[level] << "s" << std::setw(12)
                   << fix.moped_seconds[level] << "s\n";
     }
+    std::cout << "dual (lazy translation, where reduction is a no-op): "
+              << std::setprecision(3) << fix.dual_seconds << "s at every level\n";
 }
 
 } // namespace

@@ -190,11 +190,11 @@ void print_explain(const verify::VerifyStats& stats) {
                   << ms(phase.accept_seconds) << "ms  witness "
                   << ms(phase.witness_seconds) << "ms  (phase total "
                   << ms(phase.seconds) << "ms)\n";
-        std::cout << "    rules: " << phase.pda_rules_materialized << " materialized of "
+        std::cout << "    rules: " << phase.pda_rules << " materialized of "
                   << phase.pda_rules_total << " total";
         if (phase.lazy_translation && phase.pda_rules_total > 0)
             std::cout << " ("
-                      << 100 * phase.pda_rules_materialized / phase.pda_rules_total
+                      << 100 * phase.pda_rules / phase.pda_rules_total
                       << "%, lazy)";
         else if (!phase.lazy_translation)
             std::cout << " (eager)";
@@ -228,15 +228,13 @@ void print_result_text(const Network& network, const verify::VerifyResult& resul
     if (stats) {
         std::cout << "  time: " << result.stats.total_seconds << "s"
                   << "  pda-rules: " << result.stats.over.pda_rules << " (of "
-                  << result.stats.over.pda_rules_before_reduction
-                  << " before reduction)"
+                  << result.stats.over.pda_rules_total << " before reduction)"
                   << "  saturation-iterations: "
                   << result.stats.over.saturation_iterations
                   << "  relaxations: " << result.stats.over.worklist_relaxations
                   << "  peak-worklist: " << result.stats.over.peak_worklist << "\n";
         if (result.stats.over.lazy_translation)
-            std::cout << "  materialized-rules: "
-                      << result.stats.over.pda_rules_materialized << " of "
+            std::cout << "  materialized-rules: " << result.stats.over.pda_rules << " of "
                       << result.stats.over.pda_rules_total
                       << "  materialized-states: "
                       << result.stats.over.pda_states_materialized << " of "
@@ -391,6 +389,8 @@ int sweep_main(const cli::SweepCli& sweep_cli) {
 // One-shot CLI
 
 int run_cli(const cli::Cli& cli) {
+    // Span records pile up until exit, so keep them only for a trace sink.
+    telemetry::record_spans(!cli.trace_json_file.empty() || !cli.trace_chrome_file.empty());
     Network network = cli::load_network(cli.source);
 
     bool validation_ok = true;

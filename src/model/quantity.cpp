@@ -135,6 +135,9 @@ public:
         expr.priorities.push_back(parse_linear());
         while (!at_end()) {
             expect(',');
+            if (expr.priorities.size() == k_max_weight_priorities)
+                throw parse_error("weight expression lists more than " +
+                                  std::to_string(k_max_weight_priorities) + " priorities");
             expr.priorities.push_back(parse_linear());
         }
         return expr;

@@ -152,7 +152,16 @@ ThreadBuffer& buffer() {
 
 } // namespace detail
 
+namespace {
+
+std::atomic<bool> g_record_spans{false};
+
+} // namespace
+
+void record_spans(bool on) { g_record_spans.store(on, std::memory_order_relaxed); }
+
 Span::Span(const char* name) {
+    if (!g_record_spans.load(std::memory_order_relaxed)) return;
     auto& buf = detail::buffer();
     const util::MutexLock lock(buf.span_mutex);
     _index = static_cast<std::int32_t>(buf.spans.size());
@@ -161,6 +170,7 @@ Span::Span(const char* name) {
 }
 
 Span::~Span() {
+    if (_index < 0) return; // opened while recording was off
     auto& buf = detail::buffer();
     const util::MutexLock lock(buf.span_mutex);
     buf.spans[static_cast<std::size_t>(_index)].end_ns = detail::now_ns();

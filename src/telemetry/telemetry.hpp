@@ -249,9 +249,16 @@ inline void observe_duration(Histogram histogram, double seconds) {
     observe(histogram, static_cast<std::uint64_t>(seconds * 1e9));
 }
 
+/// Turn span recording on or off for every thread (off by default).  Every
+/// span opened while it is on stays in its thread's buffer until reset(),
+/// so only a process that exports a trace turns it on: the CLI does for
+/// --trace-json and --trace-chrome.
+void record_spans(bool on);
+
 /// Scoped span timer.  Construction opens a child of the innermost open
-/// span on this thread; destruction closes it.  `name` must be a string
-/// with static storage duration (a literal).
+/// span on this thread; destruction closes it.  While recording is off
+/// (record_spans) it records nothing.  `name` must be a string with static
+/// storage duration (a literal).
 class Span {
 public:
     explicit Span(const char* name);

@@ -41,9 +41,11 @@ struct CrossCheckOutcome {
 [[nodiscard]] std::uint64_t exact_scenario_count(std::uint64_t links, std::uint64_t k);
 
 /// Run the engines, validate every YES witness via check_result, and compare
-/// answers (and, for weighted queries, minimal weight vectors).  Conclusive
-/// comparisons are only meaningful for DUAL-mode queries; OVER/UNDER modes
-/// are approximate by design and downgrade to a warning.
+/// answers (and, for weighted queries, minimal weight vectors).  Dual and
+/// Moped run the same approximations, so they are compared in every mode;
+/// the comparison with the exact engine is only meaningful for DUAL-mode
+/// queries (OVER/UNDER are approximate by design and downgrade it to a
+/// warning).
 [[nodiscard]] CrossCheckOutcome cross_check(const Network& network,
                                             const query::Query& query,
                                             const CrossCheckOptions& options = {});

@@ -11,14 +11,6 @@
 
 namespace aalwines::verify {
 
-void absorb_solver_stats(PhaseStats& phase, const pda::SolverStats& solver) {
-    phase.saturation_iterations = solver.iterations;
-    phase.automaton_transitions = solver.transitions + solver.epsilons;
-    phase.worklist_relaxations = solver.relaxations;
-    phase.peak_worklist = solver.peak_queue;
-    phase.truncated = solver.truncated;
-}
-
 std::string_view to_string(Answer answer) {
     switch (answer) {
         case Answer::Yes: return "yes";
@@ -53,39 +45,38 @@ double seconds_since(Clock::time_point start) {
     return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/// Outcome of one over- or under-approximating post* run.
-struct PhaseOutcome {
-    bool satisfied = false;   ///< an accepted configuration exists
-    bool truncated = false;   ///< iteration cap hit: result unreliable
-    std::optional<Trace> trace;
-    std::vector<Trace> witnesses; ///< feasible traces (up to max_witnesses)
-    Feasibility feasibility;
-    std::vector<std::uint64_t> weight;
-    PhaseStats stats;
-};
+} // namespace
+
+void record_saturation(PhaseOutcome& outcome, const pda::SolverStats& solver,
+                       const Translation& translation) {
+    auto& stats = outcome.stats;
+    stats.saturation_iterations = solver.iterations;
+    stats.automaton_transitions = solver.transitions + solver.epsilons;
+    stats.worklist_relaxations = solver.relaxations;
+    stats.peak_worklist = solver.peak_queue;
+    stats.truncated = solver.truncated;
+    outcome.truncated = solver.truncated;
+    stats.pda_rules = translation.pda().rule_count();
+    stats.pda_states = translation.pda().state_count();
+    stats.lazy_translation = translation.lazy();
+    stats.pda_rules_total = translation.total_rules();
+    stats.pda_states_materialized = translation.pda().materialized_state_count();
+}
 
 PhaseOutcome run_post_star_phase(const Network& network, const query::Query& query,
-                                 Approximation approximation,
-                                 const VerifyOptions& options, TranslationCache& cache,
-                                 pda::SolverWorkspace& workspace) {
-    AALWINES_SPAN(approximation == Approximation::Under ? "post_star_phase(under)"
-                                                        : "post_star_phase(over)");
+                                 Translation& translation, double translate_seconds,
+                                 const VerifyOptions& options, pda::SolverWorkspace& workspace,
+                                 const pda::Weight* unroll_below) {
     PhaseOutcome outcome;
     const auto start = Clock::now();
     outcome.stats.ran = true;
-
-    // Memoized across the over/under dual passes: the cache shares the
-    // compiled query NFAs, and the whole translation when the failure budget
-    // makes the two approximations coincide.  reduce() is idempotent.
-    Translation& translation = cache.translation(approximation);
-    outcome.stats.pda_rules_before_reduction = translation.rules_before_reduction();
-    const auto translated = Clock::now();
-    outcome.stats.translate_seconds = seconds_since(start);
+    outcome.stats.translate_seconds = translate_seconds;
+    // reduce() is idempotent, so a translation shared across phases
+    // reduces once; on a lazy translation it is a no-op.
     translation.reduce(options.reduction_level);
-    outcome.stats.reduce_seconds = seconds_since(translated);
+    outcome.stats.reduce_seconds = seconds_since(start);
     telemetry::observe_duration(telemetry::Histogram::query_translate,
-                                outcome.stats.translate_seconds +
-                                    outcome.stats.reduce_seconds);
+                                translate_seconds + outcome.stats.reduce_seconds);
 
     const auto saturate_start = Clock::now();
     const auto materialized_before = translation.pda().materialize_seconds();
@@ -111,8 +102,6 @@ PhaseOutcome run_post_star_phase(const Network& network, const query::Query& que
         };
     }
     const auto sat_stats = pda::post_star(automaton, sopts);
-    absorb_solver_stats(outcome.stats, sat_stats);
-    outcome.truncated = sat_stats.truncated;
     outcome.stats.saturate_seconds = seconds_since(saturate_start);
     outcome.stats.materialize_seconds =
         translation.pda().materialize_seconds() - materialized_before;
@@ -122,29 +111,23 @@ PhaseOutcome run_post_star_phase(const Network& network, const query::Query& que
     // Snapshot the PDA size after saturation: a lazy translation grows its
     // rule set on demand, so the materialized counts are only meaningful
     // once the worklist has drained (or early-terminated).
-    outcome.stats.pda_rules = translation.pda().rule_count();
-    outcome.stats.pda_states = translation.pda().state_count();
-    outcome.stats.lazy_translation = translation.lazy();
-    outcome.stats.pda_rules_total = translation.total_rules();
-    outcome.stats.pda_rules_materialized = translation.pda().rule_count();
-    outcome.stats.pda_states_materialized = translation.pda().materialized_state_count();
+    record_saturation(outcome, sat_stats, translation);
     if (translation.lazy() && outcome.stats.pda_rules_total > 0)
         telemetry::observe(telemetry::Histogram::materialized_rule_pct,
-                           100 * outcome.stats.pda_rules_materialized /
-                               outcome.stats.pda_rules_total);
+                           100 * outcome.stats.pda_rules / outcome.stats.pda_rules_total);
 
     const auto accept_start = Clock::now();
     const auto accepted =
         pda::find_accepted(automaton, translation.accepting_states(),
                            translation.final_header_nfa(), domain, &workspace);
     outcome.stats.accept_seconds = seconds_since(accept_start);
-    if (!accepted) {
+    outcome.satisfied = accepted.has_value();
+    if (!accepted || (unroll_below != nullptr && !(accepted->weight < *unroll_below))) {
         telemetry::observe_duration(telemetry::Histogram::query_witness,
                                     outcome.stats.accept_seconds);
-        outcome.stats.seconds = seconds_since(start);
+        outcome.stats.seconds = translate_seconds + seconds_since(start);
         return outcome;
     }
-    outcome.satisfied = true;
     outcome.weight = accepted->weight.components();
 
     const auto witness_start = Clock::now();
@@ -193,9 +176,11 @@ PhaseOutcome run_post_star_phase(const Network& network, const query::Query& que
     telemetry::observe_duration(telemetry::Histogram::query_witness,
                                 outcome.stats.accept_seconds +
                                     outcome.stats.witness_seconds);
-    outcome.stats.seconds = seconds_since(start);
+    outcome.stats.seconds = translate_seconds + seconds_since(start);
     return outcome;
 }
+
+namespace {
 
 telemetry::Histogram duration_histogram(EngineKind engine) {
     switch (engine) {
@@ -207,85 +192,48 @@ telemetry::Histogram duration_histogram(EngineKind engine) {
     return telemetry::Histogram::query_duration_dual;
 }
 
-VerifyResult verify_impl(const Network& network, const query::Query& query,
-                         const VerifyOptions& options, TranslationCache* external) {
-    if (options.engine == EngineKind::Moped) {
-        if (external != nullptr)
-            throw model_error("the Moped engine cannot reuse a translation cache");
-        if (options.weights != nullptr && !options.weights->empty())
-            throw model_error("the Moped engine cannot verify weighted queries");
-        return moped_verify(network, query, options);
+/// Answer YES with the pass's witness (and its weight).
+void answer_yes(VerifyResult& result, PhaseOutcome& phase, const VerifyOptions& options) {
+    result.answer = Answer::Yes;
+    if (options.build_trace) {
+        result.trace = std::move(phase.trace);
+        result.witnesses = std::move(phase.witnesses);
     }
-    if (options.engine == EngineKind::Exact) {
-        if (external != nullptr)
-            throw model_error("the exact engine cannot reuse a translation cache");
-        return exact_verify(network, query, options);
-    }
-    if (options.engine == EngineKind::Weighted && translation_weights(options) == nullptr)
-        throw model_error("the weighted engine requires a weight expression");
+    result.weight = std::move(phase.weight);
+}
 
-    const auto start = std::chrono::steady_clock::now();
-    VerifyResult result;
-
-    // Shared across both phases: compiled query NFAs (and, when the
-    // approximations coincide, the translation itself) plus solver scratch
-    // memory, so the under pass reuses the over pass's high-water footprint.
-    // An external cache additionally survives across verify calls — the
-    // incremental what-if path rebases it between network generations.
-    std::optional<TranslationCache> local;
-    if (external == nullptr)
-        local.emplace(network, query, translation_weights(options), /*lazy=*/true);
-    else
-        AALWINES_ASSERT(&external->network() == &network,
-                        "external translation cache not rebased to this network");
-    TranslationCache& cache = external != nullptr ? *external : *local;
-    std::optional<pda::SolverWorkspace> local_workspace;
-    if (options.workspace == nullptr) local_workspace.emplace();
-    pda::SolverWorkspace& workspace =
-        options.workspace != nullptr ? *options.workspace : *local_workspace;
-
+/// The Figure-3 decision, the same for every engine that runs it: `pass(a)`
+/// saturates the engine's translation for approximation `a` and checks the
+/// witness it finds.  The query's mode picks a single approximation.
+template <typename Pass>
+void decide(VerifyResult& result, const query::Query& query, const VerifyOptions& options,
+            const Pass& pass) {
     if (query.mode == query::Mode::Under) {
         // Under-approximation only: YES answers are trustworthy, everything
         // else is inconclusive (the under-approximation misses traces whose
         // loops double-count failed links).
-        auto under = run_post_star_phase(network, query, Approximation::Under, options,
-                                         cache, workspace);
+        auto under = pass(Approximation::Under);
         result.stats.under = under.stats;
-        if (under.satisfied && under.trace && under.feasibility.feasible) {
-            result.answer = Answer::Yes;
-            if (options.build_trace) result.trace = std::move(under.trace);
-            result.weight = std::move(under.weight);
+        if (under.trace && under.feasibility.feasible) {
+            answer_yes(result, under, options);
         } else {
             result.answer = Answer::Inconclusive;
             result.note = "UNDER mode: the under-approximation found no valid trace "
                           "(not a conclusive NO)";
         }
-        result.stats.total_seconds =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-        return result;
+        return;
     }
 
-    auto over = run_post_star_phase(network, query, Approximation::Over, options,
-                                    cache, workspace);
+    auto over = pass(Approximation::Over);
     result.stats.over = over.stats;
-
     if (!over.satisfied) {
         result.answer = over.truncated ? Answer::Inconclusive : Answer::No;
         if (over.truncated) result.note = "over-approximation truncated (iteration cap)";
-        result.stats.total_seconds =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-        return result;
+        return;
     }
     if (over.trace && over.feasibility.feasible) {
-        result.answer = Answer::Yes;
-        if (options.build_trace) {
-            result.trace = std::move(over.trace);
-            result.witnesses = std::move(over.witnesses);
-        }
-        result.weight = std::move(over.weight);
-        result.stats.total_seconds =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-        return result;
+        answer_yes(result, over, options);
+        return;
     }
     if (query.mode == query::Mode::Over) {
         // Over-approximation only: satisfiable there, but the candidate
@@ -295,23 +243,15 @@ VerifyResult verify_impl(const Network& network, const query::Query& query,
         result.weight = std::move(over.weight);
         result.note = "OVER mode: satisfied in the over-approximation; the witness "
                       "exceeds the failure budget and may be spurious";
-        result.stats.total_seconds =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-        return result;
+        return;
     }
 
     // Over-approximation produced an infeasible candidate; decide with the
     // under-approximation (global failure counter in the control state).
-    auto under = run_post_star_phase(network, query, Approximation::Under, options,
-                                     cache, workspace);
+    auto under = pass(Approximation::Under);
     result.stats.under = under.stats;
-    if (under.satisfied && under.trace && under.feasibility.feasible) {
-        result.answer = Answer::Yes;
-        if (options.build_trace) {
-            result.trace = std::move(under.trace);
-            result.witnesses = std::move(under.witnesses);
-        }
-        result.weight = std::move(under.weight);
+    if (under.trace && under.feasibility.feasible) {
+        answer_yes(result, under, options);
     } else {
         result.answer = Answer::Inconclusive;
         result.note = under.truncated
@@ -319,8 +259,73 @@ VerifyResult verify_impl(const Network& network, const query::Query& query,
                           : "over-approximation satisfied but witness infeasible; "
                             "under-approximation found no valid trace";
     }
-    result.stats.total_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+}
+
+VerifyResult run_engine(const Network& network, const query::Query& query,
+                        const VerifyOptions& options, TranslationCache* external) {
+    if (options.engine == EngineKind::Exact) {
+        if (external != nullptr)
+            throw model_error("the exact engine cannot reuse a translation cache");
+        return exact_verify(network, query, options);
+    }
+    if (options.engine == EngineKind::Moped) {
+        if (external != nullptr)
+            throw model_error("the Moped engine cannot reuse a translation cache");
+        if (options.weights != nullptr && !options.weights->empty())
+            throw model_error("the Moped engine cannot verify weighted queries");
+    } else if (options.engine == EngineKind::Weighted &&
+               translation_weights(options) == nullptr) {
+        throw model_error("the weighted engine requires a weight expression");
+    }
+
+    VerifyResult result;
+    // Solver scratch memory shared across both phases, so the under pass
+    // reuses the over pass's high-water footprint.
+    std::optional<pda::SolverWorkspace> local_workspace;
+    if (options.workspace == nullptr) local_workspace.emplace();
+    pda::SolverWorkspace& workspace =
+        options.workspace != nullptr ? *options.workspace : *local_workspace;
+
+    if (options.engine == EngineKind::Moped) {
+        // The serialization round trip needs every rule, so demand-driven
+        // construction would buy nothing: Moped translates eagerly.
+        TranslationCache cache(network, query, /*weights=*/nullptr, /*lazy=*/false);
+        decide(result, query, options, [&](Approximation approximation) {
+            return run_pre_star_phase(network, query, approximation, options, cache,
+                                      workspace);
+        });
+    } else {
+        // Shared across both phases: compiled query NFAs (and, when the
+        // approximations coincide, the translation itself).  An external
+        // cache additionally survives across verify calls — the incremental
+        // what-if path rebases it between network generations.
+        std::optional<TranslationCache> local;
+        if (external == nullptr)
+            local.emplace(network, query, translation_weights(options), /*lazy=*/true);
+        else
+            AALWINES_ASSERT(&external->network() == &network,
+                            "external translation cache not rebased to this network");
+        TranslationCache& cache = external != nullptr ? *external : *local;
+        decide(result, query, options, [&](Approximation approximation) {
+            AALWINES_SPAN(approximation == Approximation::Under ? "post_star_phase(under)"
+                                                                : "post_star_phase(over)");
+            const auto translate_start = Clock::now();
+            Translation& translation = cache.translation(approximation);
+            return run_post_star_phase(network, query, translation,
+                                       seconds_since(translate_start), options, workspace);
+        });
+    }
+    return result;
+}
+
+VerifyResult verify_impl(const Network& network, const query::Query& query,
+                         const VerifyOptions& options, TranslationCache* external) {
+    AALWINES_SPAN("verify");
+    const auto start = Clock::now();
+    auto result = run_engine(network, query, options, external);
+    result.stats.total_seconds = seconds_since(start);
+    telemetry::observe_duration(duration_histogram(options.engine),
+                                result.stats.total_seconds);
     return result;
 }
 
@@ -328,20 +333,12 @@ VerifyResult verify_impl(const Network& network, const query::Query& query,
 
 VerifyResult verify(const Network& network, const query::Query& query,
                     const VerifyOptions& options) {
-    AALWINES_SPAN("verify");
-    const auto start = Clock::now();
-    auto result = verify_impl(network, query, options, nullptr);
-    telemetry::observe_duration(duration_histogram(options.engine), seconds_since(start));
-    return result;
+    return verify_impl(network, query, options, nullptr);
 }
 
 VerifyResult verify(const Network& network, const query::Query& query,
                     const VerifyOptions& options, TranslationCache& cache) {
-    AALWINES_SPAN("verify");
-    const auto start = Clock::now();
-    auto result = verify_impl(network, query, options, &cache);
-    telemetry::observe_duration(duration_histogram(options.engine), seconds_since(start));
-    return result;
+    return verify_impl(network, query, options, &cache);
 }
 
 } // namespace aalwines::verify

@@ -13,6 +13,12 @@
 //              format, parsed back, and solved by classical pre* saturation
 //              with full saturation before the membership check.  Logical
 //              properties only (requesting weights is an error).
+//   Exact    — one exact PDA per failure scenario; always conclusive,
+//              exponential in the failure budget.
+//
+// Dual, Weighted and Moped share one over -> under decision and differ only
+// in the pass it runs, so a query's OVER / UNDER mode picks the same single
+// approximation in each of them; Exact ignores the mode.
 //
 // The engine decides when network→PDA rules materialize: Dual and Weighted
 // translate lazily (saturation demands only the control states it reaches),
@@ -29,7 +35,6 @@
 #include "query/query.hpp"
 
 namespace aalwines::pda {
-struct SolverStats;
 struct SolverWorkspace;
 }
 
@@ -77,11 +82,13 @@ struct VerifyOptions {
 /// Timing and size figures for one saturation phase.  Every engine reports
 /// the same semantics so `--stats` output is comparable across engines:
 /// `pda_rules`/`pda_states` describe the symbolic translation PDA after any
-/// reduction (the solver's direct input for dual/weighted); engines that
+/// reduction (the solver's direct input for dual/weighted; with a lazy
+/// translation, the part saturation materialized); engines that
 /// additionally expand the PDA (Moped's concrete label encoding) report that
-/// backend's size in the `_expanded` fields, which stay 0 elsewhere.
+/// backend's size in the `_expanded` fields, which stay 0 elsewhere.  The
+/// exact engine sums its scenarios' figures (the worklist peak is the
+/// largest).
 struct PhaseStats {
-    std::size_t pda_rules_before_reduction = 0;
     std::size_t pda_rules = 0;
     std::size_t pda_states = 0;
     std::size_t pda_rules_expanded = 0;  ///< Moped concrete backend only
@@ -92,16 +99,15 @@ struct PhaseStats {
     std::size_t peak_worklist = 0;         ///< worklist length high-water mark
     /// Demand-driven materialization figures, snapshotted when the phase
     /// ends.  `pda_rules_total` is the eager-equivalent rule count (before
-    /// reduction); with a lazy translation `pda_rules_materialized` /
-    /// `pda_states_materialized` are the subset saturation actually
-    /// demanded, and equal the full counts when eager.
+    /// reduction); with a lazy translation `pda_states_materialized` is the
+    /// subset of states saturation actually demanded, and equals the full
+    /// count when eager.
     std::size_t pda_rules_total = 0;
-    std::size_t pda_rules_materialized = 0;
     std::size_t pda_states_materialized = 0;
     bool lazy_translation = false;
     double seconds = 0.0;
-    /// Wall-clock split of `seconds` by pipeline stage (dual/weighted
-    /// engines; 0 elsewhere).  With a lazy translation, rule
+    /// Wall-clock split of `seconds` by pipeline stage (post* passes: dual,
+    /// weighted and exact; 0 for Moped).  With a lazy translation, rule
     /// materialization happens on demand inside the saturation stage, so
     /// `translate_seconds` covers only the symbolic setup and
     /// `materialize_seconds` (time inside the rule provider) is a part of
@@ -115,10 +121,6 @@ struct PhaseStats {
     bool ran = false;
     bool truncated = false;
 };
-
-/// Copy solver-side counters into a phase record (shared by every engine so
-/// the fields above mean the same thing regardless of solver direction).
-void absorb_solver_stats(PhaseStats& phase, const pda::SolverStats& solver);
 
 struct VerifyStats {
     PhaseStats over;
@@ -152,13 +154,5 @@ class TranslationCache;
 /// tests and the benches' eager rows use.
 [[nodiscard]] VerifyResult verify(const Network& network, const query::Query& query,
                                   const VerifyOptions& options, TranslationCache& cache);
-
-/// Implementation of the Moped baseline; used directly by benches.
-[[nodiscard]] VerifyResult moped_verify(const Network& network, const query::Query& query,
-                                        const VerifyOptions& options);
-
-/// Implementation of the exact (scenario-enumerating) engine.
-[[nodiscard]] VerifyResult exact_verify(const Network& network, const query::Query& query,
-                                        const VerifyOptions& options);
 
 } // namespace aalwines::verify

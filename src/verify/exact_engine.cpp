@@ -48,16 +48,41 @@ bool for_each_failure_set(const Topology& topology, std::uint64_t k,
     return recurse(0, k);
 }
 
+/// Fold one scenario's pass into the engine's record: counts and stage
+/// timings add up, the worklist peak is the largest.
+void fold(PhaseStats& total, const PhaseStats& scenario) {
+    total.pda_rules += scenario.pda_rules;
+    total.pda_states += scenario.pda_states;
+    total.saturation_iterations += scenario.saturation_iterations;
+    total.automaton_transitions += scenario.automaton_transitions;
+    total.worklist_relaxations += scenario.worklist_relaxations;
+    total.peak_worklist = std::max(total.peak_worklist, scenario.peak_worklist);
+    total.pda_rules_total += scenario.pda_rules_total;
+    total.pda_states_materialized += scenario.pda_states_materialized;
+    total.seconds += scenario.seconds;
+    total.translate_seconds += scenario.translate_seconds;
+    total.reduce_seconds += scenario.reduce_seconds;
+    total.saturate_seconds += scenario.saturate_seconds;
+    total.materialize_seconds += scenario.materialize_seconds;
+    total.accept_seconds += scenario.accept_seconds;
+    total.witness_seconds += scenario.witness_seconds;
+    total.ran = true;
+    total.truncated = total.truncated || scenario.truncated;
+}
+
 } // namespace
 
 VerifyResult exact_verify(const Network& network, const query::Query& query,
                           const VerifyOptions& options) {
     AALWINES_SPAN("exact_verify");
-    const auto start = Clock::now();
     VerifyResult result;
     result.answer = Answer::No;
 
-    const auto domain = static_cast<pda::Symbol>(network.labels.size());
+    // One witness per scenario, found with early termination: the minimum
+    // ranges over the scenarios, not over one scenario's alternatives.
+    auto scenario_options = options;
+    scenario_options.max_witnesses = 1;
+    const bool weighted = options.weights != nullptr && !options.weights->empty();
     std::size_t scenarios = 0;
     bool truncated = false;
     std::optional<pda::Weight> best;
@@ -76,54 +101,25 @@ VerifyResult exact_verify(const Network& network, const query::Query& query,
         topts.failed_links = &failed;
         topts.weights = options.weights;
         topts.nfas = &nfas;
+        const auto translate_start = Clock::now();
         Translation translation(network, query, topts);
-        result.stats.over.pda_rules_before_reduction += translation.rules_before_reduction();
-        translation.reduce(options.reduction_level);
-
-        auto automaton = translation.make_initial_automaton();
-        pda::SolverOptions sopts;
-        sopts.max_iterations = options.max_iterations;
-        sopts.workspace = &workspace;
-        sopts.check_accepted = [&]() {
-            const auto found =
-                pda::find_accepted(automaton, translation.accepting_states(),
-                                   translation.final_header_nfa(), domain, &workspace);
-            return found ? found->weight : pda::Weight::infinity();
-        };
-        const auto sat_stats = pda::post_star(automaton, sopts);
-        // Per-scenario sizes accumulate.
-        result.stats.over.pda_rules += translation.pda().rule_count();
-        result.stats.over.pda_rules_total += translation.total_rules();
-        result.stats.over.pda_rules_materialized += translation.pda().rule_count();
-        result.stats.over.pda_states_materialized +=
-            translation.pda().materialized_state_count();
-        result.stats.over.saturation_iterations += sat_stats.iterations;
-        result.stats.over.automaton_transitions += sat_stats.transitions + sat_stats.epsilons;
-        result.stats.over.worklist_relaxations += sat_stats.relaxations;
-        result.stats.over.peak_worklist =
-            std::max(result.stats.over.peak_worklist, sat_stats.peak_queue);
-        result.stats.over.ran = true;
-        if (sat_stats.truncated) {
+        const auto translate_seconds =
+            std::chrono::duration<double>(Clock::now() - translate_start).count();
+        // Only a scenario that beats the best weight so far unrolls a witness.
+        auto phase = run_post_star_phase(network, query, translation, translate_seconds,
+                                         scenario_options, workspace,
+                                         best ? &*best : nullptr);
+        fold(result.stats.over, phase.stats);
+        if (phase.truncated) {
             truncated = true;
             return false; // cannot trust a truncated scenario: stop
         }
-        const auto accepted =
-            pda::find_accepted(automaton, translation.accepting_states(),
-                               translation.final_header_nfa(), domain, &workspace);
-        if (!accepted) return true; // next scenario
-        if (best && !(accepted->weight < *best)) return true;
-
-        if (const auto witness = pda::unroll_post_star(automaton, *accepted)) {
-            if (auto trace = translation.witness_to_trace(*witness)) {
-                best = accepted->weight;
-                best_trace = std::move(trace);
-                result.answer = Answer::Yes;
-                // Unweighted: any witness settles the query.
-                if (options.weights == nullptr || options.weights->empty())
-                    return false;
-            }
-        }
-        return true;
+        if (!phase.trace) return true; // next scenario
+        best = pda::Weight::of(std::move(phase.weight));
+        best_trace = std::move(phase.trace);
+        result.answer = Answer::Yes;
+        // Unweighted: any witness settles the query.
+        return weighted;
     });
 
     if (truncated) {
@@ -135,8 +131,6 @@ VerifyResult exact_verify(const Network& network, const query::Query& query,
     }
     result.note += (result.note.empty() ? "" : "; ") + std::string("exact: ") +
                    std::to_string(scenarios) + " failure scenarios examined";
-    result.stats.total_seconds =
-        std::chrono::duration<double>(Clock::now() - start).count();
     return result;
 }
 

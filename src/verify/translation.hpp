@@ -24,6 +24,7 @@
 #include "pda/reduction.hpp"
 #include "pda/solver.hpp"
 #include "query/query.hpp"
+#include "verify/engine.hpp"
 
 namespace aalwines::verify {
 
@@ -114,13 +115,6 @@ public:
     /// translation skips the pass (stats report zero rules removed): the
     /// demand filter at materialization plays its role — see reduction.cpp.
     pda::ReductionStats reduce(int level);
-
-    /// Rule count before the first reduce() ran (== rule_count() until
-    /// then); for a lazy translation the eager-equivalent total.
-    [[nodiscard]] std::size_t rules_before_reduction() const {
-        if (_lazy) return _total_rules;
-        return _reduced ? _reduce_stats.rules_before : _pda->rule_count();
-    }
 
     /// Demand-driven construction active (TranslationOptions::lazy).
     [[nodiscard]] bool lazy() const noexcept { return _lazy; }
@@ -388,5 +382,50 @@ private:
 
 /// The valid-header language H = mpls* smpls ip | ip as a regex (top-first).
 [[nodiscard]] nfa::Regex valid_header_regex(const LabelTable& labels);
+
+// ---------------------------------------------------------------------------
+// One pass of the Figure-3 pipeline: one saturation of one translation, its
+// acceptance search, witness and feasibility check.  Engines differ only in
+// their pass; engine.cpp holds the one over -> under decision over it.
+
+/// What one pass produced.
+struct PhaseOutcome {
+    bool satisfied = false;   ///< an accepted configuration exists
+    bool truncated = false;   ///< iteration cap hit: result unreliable
+    std::optional<Trace> trace;
+    std::vector<Trace> witnesses; ///< feasible traces (up to max_witnesses)
+    Feasibility feasibility;
+    std::vector<std::uint64_t> weight;
+    PhaseStats stats;
+};
+
+/// Record a finished saturation of `translation`'s PDA in `outcome`: the
+/// solver's counters and the PDA's size after any reduction (for a lazy
+/// translation, the part saturation materialized).  Both passes call it, so
+/// PhaseStats means the same whatever the solver direction.
+void record_saturation(PhaseOutcome& outcome, const pda::SolverStats& solver,
+                       const Translation& translation);
+
+/// The post* pass of the dual, weighted and exact engines: reduce
+/// `translation`, saturate from its initial configurations, search the
+/// accepted configurations and unroll the minimal one into a trace.
+/// `translate_seconds` is how long building `translation` took, reported as
+/// the pass's translate stage.  With `unroll_below` set, an accepted
+/// configuration whose weight is not strictly below it is reported
+/// satisfied but not unrolled (the exact engine's running minimum).
+[[nodiscard]] PhaseOutcome run_post_star_phase(
+    const Network& network, const query::Query& query, Translation& translation,
+    double translate_seconds, const VerifyOptions& options, pda::SolverWorkspace& workspace,
+    const pda::Weight* unroll_below = nullptr);
+
+/// The Moped baseline's pre* pass over `cache`'s translation for
+/// `approximation` (moped_engine.cpp).
+[[nodiscard]] PhaseOutcome run_pre_star_phase(
+    const Network& network, const query::Query& query, Approximation approximation,
+    const VerifyOptions& options, TranslationCache& cache, pda::SolverWorkspace& workspace);
+
+/// The exact engine: one post* pass per failure scenario (exact_engine.cpp).
+[[nodiscard]] VerifyResult exact_verify(const Network& network, const query::Query& query,
+                                        const VerifyOptions& options);
 
 } // namespace aalwines::verify

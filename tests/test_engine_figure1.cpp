@@ -211,32 +211,45 @@ Network conflict_network() {
     return net;
 }
 
+// The query mode picks the approximation in every engine that runs the
+// over -> under decision: dual and the Moped baseline alike.
+constexpr EngineKind k_mode_engines[] = {EngineKind::Dual, EngineKind::Moped};
+
 TEST_F(Figure1Engine, OverModeTrustsOverApproximation) {
     // Reaching D via the backup link z needs y failed AND used: DUAL is
     // inconclusive (over-sat, under finds no valid trace), OVER reports a
     // flagged YES.
     const auto conflict = conflict_network();
     const auto text = "<smpls ip> [A#B] [B#C.zi] .* [C#D] <smpls ip> 1";
-    const auto dual =
-        verify(conflict, query::parse_query(text, conflict), {});
-    EXPECT_EQ(dual.answer, Answer::Inconclusive);
-    const auto over = verify(
-        conflict, query::parse_query(text + std::string(" OVER"), conflict), {});
-    EXPECT_EQ(over.answer, Answer::Yes);
-    EXPECT_NE(over.note.find("spurious"), std::string::npos);
+    for (const auto engine : k_mode_engines) {
+        SCOPED_TRACE(to_string(engine));
+        VerifyOptions options;
+        options.engine = engine;
+        const auto dual = verify(conflict, query::parse_query(text, conflict), options);
+        EXPECT_EQ(dual.answer, Answer::Inconclusive);
+        const auto over = verify(
+            conflict, query::parse_query(text + std::string(" OVER"), conflict), options);
+        EXPECT_EQ(over.answer, Answer::Yes);
+        EXPECT_NE(over.note.find("spurious"), std::string::npos);
 
-    // When the over-approximation itself is empty, OVER still answers NO.
-    const auto no = run("<s40 ip> [.#v0] .* [v3#.] <mpls+ smpls ip> 1 OVER");
-    EXPECT_EQ(no.answer, Answer::No);
+        // When the over-approximation itself is empty, OVER still answers NO.
+        const auto no = run("<s40 ip> [.#v0] .* [v3#.] <mpls+ smpls ip> 1 OVER", options);
+        EXPECT_EQ(no.answer, Answer::No);
+    }
 }
 
 TEST_F(Figure1Engine, UnderModeOnlyTrustsYes) {
-    const auto yes = run("<ip> [.#v0] .* [.#v4] .* [v3#.] <ip> 1 UNDER");
-    EXPECT_EQ(yes.answer, Answer::Yes);
-    ASSERT_TRUE(yes.trace.has_value());
-    // Unsatisfiable query: UNDER cannot conclude NO.
-    const auto maybe = run("<s40 ip> [.#v0] .* [v3#.] <mpls+ smpls ip> 1 UNDER");
-    EXPECT_EQ(maybe.answer, Answer::Inconclusive);
+    for (const auto engine : k_mode_engines) {
+        SCOPED_TRACE(to_string(engine));
+        VerifyOptions options;
+        options.engine = engine;
+        const auto yes = run("<ip> [.#v0] .* [.#v4] .* [v3#.] <ip> 1 UNDER", options);
+        EXPECT_EQ(yes.answer, Answer::Yes);
+        ASSERT_TRUE(yes.trace.has_value());
+        // Unsatisfiable query: UNDER cannot conclude NO.
+        const auto maybe = run("<s40 ip> [.#v0] .* [v3#.] <mpls+ smpls ip> 1 UNDER", options);
+        EXPECT_EQ(maybe.answer, Answer::Inconclusive);
+    }
 }
 
 

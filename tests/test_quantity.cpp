@@ -2,6 +2,7 @@
 
 #include "model/quantity.hpp"
 #include "synthesis/dataplane.hpp"
+#include "util/errors.hpp"
 
 namespace aalwines {
 namespace {
@@ -120,6 +121,11 @@ TEST(WeightParser, RejectsGarbage) {
     EXPECT_THROW(parse_weight_expression("speed"), parse_error);
     EXPECT_THROW(parse_weight_expression("hops +"), parse_error);
     EXPECT_THROW(parse_weight_expression("3 hops"), parse_error);
+    // At most k_max_weight_priorities priorities.
+    std::string priorities = "hops";
+    for (std::size_t i = 1; i < k_max_weight_priorities; ++i) priorities += ", hops";
+    EXPECT_EQ(parse_weight_expression(priorities).size(), k_max_weight_priorities);
+    EXPECT_THROW(parse_weight_expression(priorities + ", hops"), parse_error);
 }
 
 TEST(WeightParser, RoundTripsThroughToString) {

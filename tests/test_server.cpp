@@ -327,6 +327,52 @@ TEST(Server, DeepNestingIsABadRequestNotACrash) {
     EXPECT_EQ(roundtrip(port, "GET", "/healthz").status, 200);
 }
 
+TEST(Server, WeightPastTheArityBoundIsABadRequest) {
+    Daemon daemon;
+    const auto port = daemon.server.port();
+    const auto id = daemon.load_figure1();
+    std::string weight = "hops";
+    for (int i = 1; i < 10'000; ++i) weight += ", hops";
+    const auto reply = roundtrip(port, "POST", "/networks/" + id + "/query",
+                                 std::string(R"({"query":")") + k_yes_query +
+                                     R"(","weight":")" + weight + R"("})");
+    EXPECT_EQ(reply.status, 400) << reply.raw.substr(0, 200);
+    EXPECT_EQ(roundtrip(port, "GET", "/healthz").status, 200);
+}
+
+TEST(Server, AnswersLeaveNoSpanRecords) {
+    // Spans are recorded only for a trace export (the CLI's --trace-json and
+    // --trace-chrome), so a daemon keeps none however many answers it
+    // computes; its counters still see every request.
+    Direct handle;
+    const auto target = handle.load_figure1();
+    const auto span_records = [] {
+        std::size_t records = 0;
+        const auto walk = [&](const auto& self, const telemetry::SpanNode& node) -> void {
+            ++records;
+            for (const auto& child : node.children) self(self, child);
+        };
+        for (const auto& thread : telemetry::snapshot().threads)
+            for (const auto& root : thread.roots) walk(walk, root);
+        return records;
+    };
+    const auto records_before = span_records();
+    const auto requests = [&] {
+        const auto metrics = json::parse(handle("GET", "/metrics").body);
+        return metrics.at("server").at("requests").as_int();
+    };
+    const auto requests_before = requests();
+    constexpr int k_answers = 10'000;
+    for (int k = 0; k < k_answers; ++k) {
+        const auto text = "<ip> [.#v0] .* [v3#.] <ip> " + std::to_string(k);
+        const auto reply = handle("POST", target + "/query", single_query(text));
+        ASSERT_EQ(reply.status, 200) << reply.body;
+    }
+    EXPECT_EQ(span_records(), records_before);
+    // The first /metrics request counts once it is answered.
+    EXPECT_EQ(requests(), requests_before + 1 + k_answers);
+}
+
 TEST(Server, WorkspaceLifecycle) {
     Daemon daemon;
     const auto id = daemon.load_figure1();

@@ -24,7 +24,16 @@ const std::vector<std::string> k_queries = {
     "<ip> .* <ip> 0",
 };
 
+/// Span recording on for one test's scope (the library default is off).
+struct RecordSpans {
+    RecordSpans() { telemetry::record_spans(true); }
+    ~RecordSpans() { telemetry::record_spans(false); }
+    RecordSpans(const RecordSpans&) = delete;
+    RecordSpans& operator=(const RecordSpans&) = delete;
+};
+
 TEST(Telemetry, SpanNestingAndOrdering) {
+    const RecordSpans recording;
     telemetry::reset();
     {
         AALWINES_SPAN("outer");
@@ -52,6 +61,7 @@ TEST(Telemetry, SpanNestingAndOrdering) {
 }
 
 TEST(Telemetry, OpenSpanSurvivesResetAndIsMarkedOpen) {
+    const RecordSpans recording;
     telemetry::reset();
     AALWINES_SPAN("held_open");
     telemetry::reset(); // must keep the open chain, re-rooted
@@ -265,6 +275,7 @@ TEST(Telemetry, PrometheusExposition) {
 }
 
 TEST(Telemetry, ChromeTraceExport) {
+    const RecordSpans recording;
     telemetry::reset();
     const auto network = synthesis::make_figure1_network();
     (void)verify::verify_batch(network, {k_queries.front()}, {}, 1);
@@ -284,6 +295,7 @@ TEST(Telemetry, ChromeTraceExport) {
 }
 
 TEST(Telemetry, TraceJsonRoundTrip) {
+    const RecordSpans recording;
     telemetry::reset();
     const auto network = synthesis::make_figure1_network();
     (void)verify::verify_batch(network, {k_queries.front()}, {}, 1);
